@@ -1,6 +1,7 @@
 #include "baselines/dymond.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "baselines/state_io.h"
 #include "metrics/graph_stats.h"
@@ -141,6 +142,30 @@ Status DymondGenerator::LoadState(std::istream& in) {
       activity.value().size() != static_cast<size_t>(shape.num_nodes))
     return Status::InvalidArgument(
         "corrupt archive: DYMOND motif sections disagree with the shape");
+  // Generate places every fitted motif, so edited counts would set its
+  // work. Fit and Update keep 3 * triangles + 2 * wedges + singles equal
+  // to the timestamp's edge count; the check subtracts so that no edited
+  // count can overflow.
+  for (size_t t = 0; t < t_count; ++t) {
+    const int64_t m_t = shape.edges_per_timestamp[t];
+    const int64_t tri = triangles.value()[t];
+    const int64_t wedge = wedges.value()[t];
+    const int64_t single = singles.value()[t];
+    if (tri < 0 || wedge < 0 || single < 0)
+      return Status::InvalidArgument(
+          "corrupt archive: negative DYMOND motif count at timestamp " +
+          std::to_string(t));
+    if (tri > m_t / 3 || wedge > (m_t - 3 * tri) / 2 ||
+        single != m_t - 3 * tri - 2 * wedge)
+      return Status::InvalidArgument(
+          "corrupt archive: DYMOND motif counts at timestamp " +
+          std::to_string(t) + " do not add up to its " +
+          std::to_string(m_t) + " edges");
+  }
+  for (double weight : activity.value())
+    if (!std::isfinite(weight) || weight <= 0.0)
+      return Status::InvalidArgument(
+          "corrupt archive: DYMOND node activity must be finite and > 0");
 
   shape_ = std::move(shape);
   mix_.assign(t_count, {});

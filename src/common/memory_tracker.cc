@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace tgsim {
 
 namespace {
@@ -18,10 +22,28 @@ ThreadStats& LocalStats() {
   return stats;
 }
 
+#if defined(__GLIBC__)
+/// M_MMAP_THRESHOLD: the largest value glibc accepts on 64-bit targets.
+constexpr int kHeapMmapThresholdBytes = 32 << 20;
+/// M_TRIM_THRESHOLD. Setting either threshold turns off glibc's dynamic mmap
+/// threshold, which by itself keeps a lone freed buffer but trims an
+/// epoch's worth, so both are set.
+constexpr int kHeapTrimThresholdBytes = 256 << 20;
+#endif
+
 }  // namespace
 
 MemoryTracker& MemoryTracker::Global() {
-  static MemoryTracker* tracker = new MemoryTracker();
+  static MemoryTracker* tracker = [] {
+    auto* created = new MemoryTracker();
+#if defined(__GLIBC__)
+    created->heap_policy_.mmap_threshold_rc =
+        mallopt(M_MMAP_THRESHOLD, kHeapMmapThresholdBytes);
+    created->heap_policy_.trim_threshold_rc =
+        mallopt(M_TRIM_THRESHOLD, kHeapTrimThresholdBytes);
+#endif
+    return created;
+  }();
   return *tracker;
 }
 

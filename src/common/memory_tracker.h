@@ -19,10 +19,31 @@ namespace tgsim {
 /// the thread-local view, so concurrent eval cells (eval::RunCells) each
 /// observe only their own allocations — keeping per-cell peaks identical to
 /// a serial run.
+///
+/// The first Global() call also sets the process heap policy (glibc only):
+/// allocations below 32 MiB come from the heap instead of fresh mmaps, and
+/// free heap is kept until 256 MiB of it accumulates at the top. Training
+/// frees and reallocates tens of MB of tensor buffers every epoch; with
+/// glibc's defaults each epoch unmapped them and the kernel zero-filled them
+/// again on first touch. Every Tensor::Allocate goes through Global(), so the
+/// policy is in place before the first tensor in any binary that links the
+/// library. It changes where bytes live, never their values, and the tracker
+/// keeps counting logical tensor bytes.
 class MemoryTracker {
  public:
+  /// Return values of the two mallopt calls made by the first Global()
+  /// (1 = applied). Both stay 0 on non-glibc builds, which keep the C
+  /// library's defaults.
+  struct HeapPolicy {
+    int mmap_threshold_rc = 0;
+    int trim_threshold_rc = 0;
+  };
+
   /// Global tracker instance used by nn::Tensor.
   static MemoryTracker& Global();
+
+  /// The heap policy the first Global() call applied.
+  const HeapPolicy& heap_policy() const { return heap_policy_; }
 
   /// Records an allocation of `bytes`.
   void Allocate(size_t bytes);
@@ -51,6 +72,7 @@ class MemoryTracker {
  private:
   std::atomic<int64_t> current_{0};
   std::atomic<int64_t> peak_{0};
+  HeapPolicy heap_policy_;
 };
 
 /// RAII scope measuring the *calling thread's* peak allocation growth over

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <fstream>
 #include <istream>
 #include <locale>
 #include <ostream>
@@ -13,8 +12,6 @@ namespace tgsim::serialize {
 namespace {
 
 constexpr char kArchiveMagic[] = "tgsim-archive";
-constexpr char kCheckpointMagic[] = "tgsim-checkpoint";
-constexpr int kCheckpointVersion = 1;
 
 /// Field name of the i-th parameter tensor ("p0", "p1", ...). Built by
 /// appending (not `"p" + std::to_string(i)`) to sidestep a GCC 12
@@ -415,62 +412,6 @@ Status ReadParamsInto(const ArchiveReader& reader,
     Status s = reader.ReadTensorInto(section, ParamFieldName(i),
                                      params[i].mutable_value());
     if (!s.ok()) return s;
-  }
-  return Status::Ok();
-}
-
-Status SaveParameters(const std::vector<nn::Var>& params,
-                      const std::string& path) {
-  std::ofstream out(path);
-  if (!out.is_open()) return Status::IoError("cannot write: " + path);
-  // Classic locale: under e.g. de_DE.UTF-8 the global locale renders
-  // doubles with ',' separators, which silently corrupts the checkpoint.
-  out.imbue(std::locale::classic());
-  out << kCheckpointMagic << " " << kCheckpointVersion << "\n";
-  out << params.size() << "\n";
-  out.precision(17);
-  for (const nn::Var& p : params) {
-    const nn::Tensor& t = p.value();
-    out << t.rows() << " " << t.cols();
-    for (int64_t i = 0; i < t.size(); ++i) out << " " << t.data()[i];
-    out << "\n";
-  }
-  if (!out.good()) return Status::IoError("write failed: " + path);
-  return Status::Ok();
-}
-
-Status LoadParameters(std::vector<nn::Var>& params, const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) return Status::IoError("cannot open: " + path);
-  in.imbue(std::locale::classic());
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version) || magic != kCheckpointMagic)
-    return Status::InvalidArgument("not a tgsim checkpoint: " + path);
-  if (version != kCheckpointVersion)
-    return Status::InvalidArgument("unsupported checkpoint version " +
-                                   std::to_string(version));
-  size_t count = 0;
-  if (!(in >> count)) return Status::InvalidArgument("truncated header");
-  if (count != params.size())
-    return Status::InvalidArgument(
-        "checkpoint has " + std::to_string(count) + " tensors, model has " +
-        std::to_string(params.size()) +
-        " — was the model built with the same configuration?");
-  for (nn::Var& p : params) {
-    int rows = 0, cols = 0;
-    if (!(in >> rows >> cols))
-      return Status::InvalidArgument("truncated tensor header");
-    nn::Tensor& t = p.mutable_value();
-    if (rows != t.rows() || cols != t.cols())
-      return Status::InvalidArgument(
-          "tensor shape mismatch: checkpoint " + std::to_string(rows) + "x" +
-          std::to_string(cols) + " vs model " + std::to_string(t.rows()) +
-          "x" + std::to_string(t.cols()));
-    for (int64_t i = 0; i < t.size(); ++i) {
-      if (!ReadDoubleToken(in, t.data()[i]))
-        return Status::InvalidArgument("truncated tensor data");
-    }
   }
   return Status::Ok();
 }

@@ -174,25 +174,6 @@ Status ReadParamsInto(const ArchiveReader& reader,
                       const std::string& section,
                       std::vector<nn::Var>& params);
 
-/// Portable text checkpoint for a trained parameter set (the legacy
-/// single-purpose format behind TgaeGenerator::SaveCheckpoint; the
-/// sectioned archive above is the general mechanism).
-///
-/// Format (line-oriented, whitespace-separated):
-///   tgsim-checkpoint 1
-///   <num_tensors>
-///   <rows> <cols> v v v ...      (one line per tensor, row-major, %.17g)
-///
-/// The parameter *order and shapes* are the contract: loading into a model
-/// built with a different configuration is rejected with InvalidArgument.
-/// Both directions imbue the classic "C" locale so checkpoints round-trip
-/// under non-C process locales.
-Status SaveParameters(const std::vector<nn::Var>& params,
-                      const std::string& path);
-
-/// Loads a checkpoint into an *existing* parameter set (shapes must match).
-Status LoadParameters(std::vector<nn::Var>& params, const std::string& path);
-
 }  // namespace tgsim::serialize
 
 #endif  // TGSIM_SERIALIZE_SERIALIZATION_H_

@@ -232,6 +232,58 @@ TEST(ArtifactErrorTest, LoadTruncatedArtifactIsAnErrorNotACrash) {
   std::filesystem::remove(path);
 }
 
+/// Saves a fitted DYMOND artifact, replaces the first value of the vector
+/// field `field` with `value`, and returns the status of loading it.
+Status LoadDymondWithEditedField(const std::string& field,
+                                 const std::string& value) {
+  auto gen = std::move(MakeGenerator("DYMOND")).value();
+  {
+    graphs::TemporalGraph observed =
+        datasets::MakeMimicByName("DBLP", 0.03, 5);
+    Rng rng(3);
+    gen->Fit(observed, rng);
+  }
+  const std::string path = ArtifactPath("dymond_edited_" + field);
+  EXPECT_TRUE(SaveArtifact(*gen, "DYMOND", {}, path).ok());
+  std::string text;
+  {
+    std::ifstream in(path);
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  // Vector fields are written as `<kind> <name> <count> v0 v1 ...`.
+  const size_t line = text.find(" " + field + " ");
+  if (line == std::string::npos) return Status::NotFound("no field " + field);
+  const size_t first = text.find(' ', line + field.size() + 2) + 1;
+  const size_t end = text.find_first_of(" \n", first);
+  text.replace(first, end - first, value);
+  std::ofstream(path) << text;
+  Status s = LoadArtifact(path).status();
+  std::filesystem::remove(path);
+  return s;
+}
+
+TEST(ArtifactErrorTest, EditedDymondMotifCountIsRejectedBeforeGenerating) {
+  // An inflated count used to make Generate place a billion motifs.
+  Status s = LoadDymondWithEditedField("singles", "999999999");
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.message().find("do not add up"), std::string::npos)
+      << s.ToString();
+  s = LoadDymondWithEditedField("wedges", "-1");
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.message().find("negative"), std::string::npos) << s.ToString();
+}
+
+TEST(ArtifactErrorTest, DymondActivityMustBeFiniteAndPositive) {
+  for (const char* weight : {"nan", "inf", "0", "-2.5"}) {
+    Status s = LoadDymondWithEditedField("node_activity", weight);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument)
+        << weight << ": " << s.ToString();
+    EXPECT_NE(s.message().find("node activity"), std::string::npos)
+        << weight << ": " << s.ToString();
+  }
+}
+
 /// Fits a score-matrix method whose fast-preset state is large enough to
 /// ride as a trailing BlockFile, saves it, and returns the path.
 std::string SaveBlockBackedArtifact(const std::string& tag) {

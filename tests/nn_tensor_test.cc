@@ -1,10 +1,24 @@
 #include "nn/tensor.h"
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "common/memory_tracker.h"
 #include "gtest/gtest.h"
+
+// Sanitizer runtimes replace malloc, so the glibc heap policy has no effect.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define TGSIM_TEST_MALLOC_REPLACED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define TGSIM_TEST_MALLOC_REPLACED 1
+#endif
+#endif
 
 namespace tgsim::nn {
 namespace {
@@ -74,6 +88,57 @@ TEST(TensorTest, AllocationsAreTracked) {
               before + 100 * 100 * static_cast<int64_t>(sizeof(Scalar)));
   }
   EXPECT_EQ(g.CurrentBytes(), before);
+}
+
+#if defined(__GLIBC__) && !defined(TGSIM_TEST_MALLOC_REPLACED)
+int64_t MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+#endif
+
+TEST(TensorTest, EpochChurnDoesNotRefaultPages) {
+#if !defined(__GLIBC__)
+  GTEST_SKIP() << "the heap policy is set through glibc's mallopt only";
+#elif defined(TGSIM_TEST_MALLOC_REPLACED)
+  GTEST_SKIP() << "the sanitizer runtime replaces malloc, so mallopt is inert";
+#else
+  const MemoryTracker::HeapPolicy& policy =
+      MemoryTracker::Global().heap_policy();
+  ASSERT_EQ(policy.mmap_threshold_rc, 1);
+  ASSERT_EQ(policy.trim_threshold_rc, 1);
+
+  // One training "epoch": a dozen ~2 MiB buffers whose row counts jitter
+  // from epoch to epoch, as ego-batch shapes do, all freed at its end.
+  static constexpr int kBuffers = 12;
+  static constexpr int kCols = 256;
+  auto run_epoch = [](int epoch) {
+    std::vector<Tensor> live;
+    live.reserve(kBuffers);
+    int64_t bytes = 0;
+    for (int i = 0; i < kBuffers; ++i) {
+      const int rows = 992 + (epoch * 37 + i * 11) % 64;
+      live.emplace_back(rows, kCols);  // Zero-filled: touches every page.
+      bytes += live.back().size() * static_cast<int64_t>(sizeof(Scalar));
+    }
+    return bytes;
+  };
+
+  run_epoch(0);  // Warm-up: the heap grows to hold one epoch.
+  constexpr int kEpochs = 20;
+  const int64_t faults_before = MinorFaults();
+  int64_t bytes = 0;
+  for (int epoch = 1; epoch <= kEpochs; ++epoch) bytes += run_epoch(epoch);
+  const int64_t faults = MinorFaults() - faults_before;
+
+  // With glibc's defaults the freed heap goes back to the kernel every
+  // epoch, so every page of every buffer faults in again.
+  const int64_t untuned_faults = bytes / sysconf(_SC_PAGESIZE);
+  EXPECT_LT(faults, untuned_faults / 50)
+      << faults << " minor faults over " << kEpochs << " epochs; the untuned "
+      << "heap takes about " << untuned_faults;
+#endif
 }
 
 TEST(TensorTest, IdentityFactory) {

@@ -7,7 +7,6 @@
 #include <sstream>
 #include <string>
 
-#include "core/tgae.h"
 #include "datasets/io.h"
 #include "datasets/synthetic.h"
 #include "gtest/gtest.h"
@@ -17,8 +16,6 @@ namespace {
 
 using serialize::ArchiveReader;
 using serialize::ArchiveWriter;
-using serialize::LoadParameters;
-using serialize::SaveParameters;
 
 /// Gives each test its own scratch directory under the gtest temp root and
 /// removes it afterwards, so round-trip tests never observe each other's
@@ -45,65 +42,7 @@ class TempDirFixture : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-class SerializationTest : public TempDirFixture {};
 class TemporalGraphIoTest : public TempDirFixture {};
-class TgaeCheckpointTest : public TempDirFixture {};
-
-TEST_F(SerializationTest, RoundTripsRawParameters) {
-  Rng rng(1);
-  std::vector<nn::Var> params = {
-      nn::Var::Param(nn::Tensor::Randn(rng, 3, 4)),
-      nn::Var::Param(nn::Tensor::Randn(rng, 1, 7)),
-  };
-  std::string path = Path("params.ckpt");
-  ASSERT_TRUE(SaveParameters(params, path).ok());
-
-  Rng rng2(2);
-  std::vector<nn::Var> fresh = {
-      nn::Var::Param(nn::Tensor::Randn(rng2, 3, 4)),
-      nn::Var::Param(nn::Tensor::Randn(rng2, 1, 7)),
-  };
-  ASSERT_TRUE(LoadParameters(fresh, path).ok());
-  for (size_t i = 0; i < params.size(); ++i)
-    EXPECT_DOUBLE_EQ(
-        (params[i].value() - fresh[i].value()).MaxAbs(), 0.0);
-}
-
-TEST_F(SerializationTest, RejectsCountMismatch) {
-  Rng rng(3);
-  std::vector<nn::Var> params = {nn::Var::Param(nn::Tensor::Randn(rng, 2, 2))};
-  std::string path = Path("count.ckpt");
-  ASSERT_TRUE(SaveParameters(params, path).ok());
-  std::vector<nn::Var> two = {
-      nn::Var::Param(nn::Tensor::Randn(rng, 2, 2)),
-      nn::Var::Param(nn::Tensor::Randn(rng, 2, 2))};
-  Status s = LoadParameters(two, path);
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(SerializationTest, RejectsShapeMismatch) {
-  Rng rng(4);
-  std::vector<nn::Var> params = {nn::Var::Param(nn::Tensor::Randn(rng, 2, 3))};
-  std::string path = Path("shape.ckpt");
-  ASSERT_TRUE(SaveParameters(params, path).ok());
-  std::vector<nn::Var> other = {
-      nn::Var::Param(nn::Tensor::Randn(rng, 3, 2))};
-  EXPECT_EQ(LoadParameters(other, path).code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST_F(SerializationTest, RejectsGarbageFile) {
-  std::string path = Path("garbage.ckpt");
-  FILE* f = fopen(path.c_str(), "w");
-  fputs("not a checkpoint at all\n", f);
-  fclose(f);
-  Rng rng(5);
-  std::vector<nn::Var> params = {nn::Var::Param(nn::Tensor::Randn(rng, 1, 1))};
-  EXPECT_EQ(LoadParameters(params, path).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(LoadParameters(params, "/nonexistent.ckpt").code(),
-            StatusCode::kIoError);
-}
 
 // ---------------------------------------------------------------------------
 // Sectioned archive (ArchiveWriter / ArchiveReader).
@@ -201,6 +140,50 @@ TEST(ArchiveTest, MissingFieldIsNotFoundAndWrongTypeIsInvalid) {
             StatusCode::kInvalidArgument);
 }
 
+/// Writes `params` into section "params" of a fresh archive and parses it.
+ArchiveReader ParamsArchive(const std::vector<nn::Var>& params) {
+  std::stringstream stream;
+  ArchiveWriter writer(stream);
+  writer.BeginSection("params");
+  serialize::WriteParams(writer, params);
+  EXPECT_TRUE(writer.Finish().ok());
+  Result<ArchiveReader> parsed = ArchiveReader::Parse(stream);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  return std::move(parsed).value();
+}
+
+TEST(ArchiveTest, RoundTripsParameterSets) {
+  Rng rng(1);
+  std::vector<nn::Var> params = {
+      nn::Var::Param(nn::Tensor::Randn(rng, 3, 4)),
+      nn::Var::Param(nn::Tensor::Randn(rng, 1, 7)),
+  };
+  Rng rng2(2);
+  std::vector<nn::Var> fresh = {
+      nn::Var::Param(nn::Tensor::Randn(rng2, 3, 4)),
+      nn::Var::Param(nn::Tensor::Randn(rng2, 1, 7)),
+  };
+  ASSERT_TRUE(serialize::ReadParamsInto(ParamsArchive(params), "params",
+                                        fresh)
+                  .ok());
+  for (size_t i = 0; i < params.size(); ++i)
+    EXPECT_DOUBLE_EQ((params[i].value() - fresh[i].value()).MaxAbs(), 0.0);
+}
+
+TEST(ArchiveTest, ParameterSetCountAndShapeMustMatch) {
+  Rng rng(3);
+  ArchiveReader one_2x3 =
+      ParamsArchive({nn::Var::Param(nn::Tensor::Randn(rng, 2, 3))});
+  std::vector<nn::Var> two = {nn::Var::Param(nn::Tensor::Randn(rng, 2, 3)),
+                              nn::Var::Param(nn::Tensor::Randn(rng, 2, 3))};
+  EXPECT_EQ(serialize::ReadParamsInto(one_2x3, "params", two).code(),
+            StatusCode::kInvalidArgument);
+  std::vector<nn::Var> transposed = {
+      nn::Var::Param(nn::Tensor::Randn(rng, 3, 2))};
+  EXPECT_EQ(serialize::ReadParamsInto(one_2x3, "params", transposed).code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(ArchiveTest, RejectsBadMagicVersionMismatchAndTruncation) {
   {
     std::stringstream stream("not-an-archive 1\nend\n");
@@ -229,7 +212,7 @@ TEST(ArchiveTest, RejectsBadMagicVersionMismatchAndTruncation) {
 }
 
 // ---------------------------------------------------------------------------
-// Locale independence: checkpoints and archives must round-trip under a
+// Locale independence: archives must round-trip under a
 // comma-decimal global locale (regression: un-imbued streams rendered 0.5
 // as "0,5", corrupting the file).
 // ---------------------------------------------------------------------------
@@ -264,25 +247,6 @@ class CommaLocaleScope {
   bool installed_ = false;
   std::locale previous_;
 };
-
-TEST_F(SerializationTest, CheckpointRoundTripsUnderCommaDecimalLocale) {
-  CommaLocaleScope comma_locale;
-  if (!comma_locale.installed())
-    GTEST_SKIP() << "no comma-decimal locale available on this host";
-
-  Rng rng(8);
-  std::vector<nn::Var> params = {
-      nn::Var::Param(nn::Tensor::Randn(rng, 2, 3))};
-  std::string path = Path("comma.ckpt");
-  ASSERT_TRUE(SaveParameters(params, path).ok());
-  Rng rng2(9);
-  std::vector<nn::Var> fresh = {
-      nn::Var::Param(nn::Tensor::Randn(rng2, 2, 3))};
-  ASSERT_TRUE(LoadParameters(fresh, path).ok());
-  for (int64_t i = 0; i < params[0].value().size(); ++i)
-    EXPECT_DOUBLE_EQ(fresh[0].value().data()[i],
-                     params[0].value().data()[i]);
-}
 
 TEST(ArchiveTest, RoundTripsUnderCommaDecimalLocale) {
   CommaLocaleScope comma_locale;
@@ -364,68 +328,6 @@ TEST_F(TemporalGraphIoTest, EmptyGraphSurvivesTwoTrips) {
   Result<graphs::TemporalGraph> r2 = datasets::LoadEdgeList(p2);
   ASSERT_TRUE(r2.ok());
   ExpectGraphsEqual(r1.value(), r2.value());
-}
-
-// ---------------------------------------------------------------------------
-// TGAE checkpoints.
-// ---------------------------------------------------------------------------
-
-TEST_F(TgaeCheckpointTest, TrainedModelRoundTripsThroughDisk) {
-  graphs::TemporalGraph observed =
-      datasets::MakeMimicByName("DBLP", 0.05, 77);
-  TgaeConfig cfg;
-  cfg.epochs = 4;
-  cfg.batch_centers = 8;
-
-  // Train model A and checkpoint it.
-  TgaeGenerator a(cfg);
-  Rng rng_a(10);
-  a.Fit(observed, rng_a);
-  std::string path = Path("tgae.ckpt");
-  ASSERT_TRUE(a.SaveCheckpoint(path).ok());
-
-  // Build model B with a *different* initialization, then load A's weights:
-  // generation with the same sampling seed must now match exactly.
-  TgaeGenerator b(cfg);
-  Rng rng_b(999);
-  b.Fit(observed, rng_b);
-  ASSERT_TRUE(b.LoadCheckpoint(path).ok());
-
-  Rng g1(5), g2(5);
-  graphs::TemporalGraph out_a = a.Generate(g1);
-  graphs::TemporalGraph out_b = b.Generate(g2);
-  ASSERT_EQ(out_a.num_edges(), out_b.num_edges());
-  for (size_t i = 0; i < out_a.edges().size(); ++i)
-    EXPECT_TRUE(out_a.edges()[i] == out_b.edges()[i]);
-}
-
-TEST_F(TgaeCheckpointTest, SaveBeforeFitIsAnError) {
-  TgaeGenerator gen;
-  EXPECT_EQ(gen.SaveCheckpoint(Path("x.ckpt")).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(gen.LoadCheckpoint(Path("x.ckpt")).code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST_F(TgaeCheckpointTest, MismatchedConfigIsRejected) {
-  graphs::TemporalGraph observed =
-      datasets::MakeMimicByName("DBLP", 0.05, 77);
-  TgaeConfig small;
-  small.epochs = 1;
-  small.batch_centers = 4;
-  TgaeGenerator a(small);
-  Rng rng(1);
-  a.Fit(observed, rng);
-  std::string path = Path("small.ckpt");
-  ASSERT_TRUE(a.SaveCheckpoint(path).ok());
-
-  TgaeConfig big = small;
-  big.embedding_dim = 16;
-  big.hidden_dim = 16;
-  TgaeGenerator b(big);
-  Rng rng2(2);
-  b.Fit(observed, rng2);
-  EXPECT_FALSE(b.LoadCheckpoint(path).ok());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <sstream>
 
 #include "datasets/synthetic.h"
 #include "eval/registry.h"
@@ -181,17 +182,15 @@ TEST(TgaeTest, SparseAndDenseGenerationDrawIdenticalEdges) {
   TgaeGenerator dense(dense_cfg);
   Rng rd(17);
   dense.Fit(observed, rd);
-  std::string path = ::testing::TempDir() + "/tgae_sparse_pin.ckpt";
-  ASSERT_TRUE(dense.SaveCheckpoint(path).ok());
+  std::stringstream state;
+  ASSERT_TRUE(dense.SaveState(state).ok());
 
+  // The sparse model takes the dense model's trained weights; LoadState
+  // builds its parameter structures from its own configuration.
   TgaeConfig sparse_cfg = dense_cfg;
   sparse_cfg.sparse_decoder = true;
-  sparse_cfg.epochs = 0;  // Build parameter structures only...
   TgaeGenerator sparse(sparse_cfg);
-  Rng rs(17);
-  sparse.Fit(observed, rs);
-  // ...then share the dense model's trained weights.
-  ASSERT_TRUE(sparse.LoadCheckpoint(path).ok());
+  ASSERT_TRUE(sparse.LoadState(state).ok());
 
   Rng g1(99);
   Rng g2(99);
@@ -200,6 +199,23 @@ TEST(TgaeTest, SparseAndDenseGenerationDrawIdenticalEdges) {
   ASSERT_EQ(a.num_edges(), b.num_edges());
   for (size_t i = 0; i < a.edges().size(); ++i)
     EXPECT_TRUE(a.edges()[i] == b.edges()[i]) << "edge " << i;
+}
+
+TEST(TgaeTest, LoadStateRejectsAModelOfAnotherConfiguration) {
+  graphs::TemporalGraph observed = Observed();
+  TgaeConfig small = FastConfig();
+  small.epochs = 1;
+  TgaeGenerator a(small);
+  Rng rng(1);
+  a.Fit(observed, rng);
+  std::stringstream state;
+  ASSERT_TRUE(a.SaveState(state).ok());
+
+  TgaeConfig big = small;
+  big.embedding_dim = 16;
+  big.hidden_dim = 16;
+  TgaeGenerator b(big);
+  EXPECT_EQ(b.LoadState(state).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(TgaeTest, NextUntakenNodeScansPastTakenNodes) {
