@@ -444,14 +444,10 @@ void TgaeGenerator::TrainEpochs(int epochs,
       loss = nn::SampledSoftmaxCrossEntropy(batch.logits, targets);
     } else {
       DecodeLogits(batch, /*candidates=*/nullptr);
-      nn::Tensor dense(static_cast<int>(batch.row_nodes.size()), n);
-      for (int r = 0; r < targets.rows(); ++r) {
-        for (int e = targets.offsets[static_cast<size_t>(r)];
-             e < targets.offsets[static_cast<size_t>(r) + 1]; ++e)
-          dense.at(r, targets.cols[static_cast<size_t>(e)]) =
-              targets.weights[static_cast<size_t>(e)];
-      }
-      loss = nn::RowCrossEntropyWithLogits(batch.logits, dense);
+      // Row entries are distinct nodes; in column order they sum exactly
+      // as the dense n-wide adjacency rows would.
+      targets.SortRowsByColumn();
+      loss = nn::RowCrossEntropyWithLogits(batch.logits, targets);
     }
     if (config_.probabilistic) {
       loss = nn::Add(loss, nn::Scale(nn::KlToStandardNormal(
@@ -689,9 +685,10 @@ graphs::TemporalGraph TgaeGenerator::Generate(Rng& rng) {
         };
 
         // Categorical sampling without replacement (paper Section IV-G);
-        // budgets beyond the support fall back to the full score row.
+        // a budget beyond the support replays it with replacement, and
+        // only an empty support falls back to the full score row.
         std::vector<double> weights = support_weights();
-        int wanted = std::min(budget[i], n - 1);
+        const int wanted = budget[i];
         int from_support =
             std::min(wanted, static_cast<int>(support.size()));
         std::vector<bool> taken(static_cast<size_t>(n), false);
@@ -726,6 +723,9 @@ graphs::TemporalGraph TgaeGenerator::Generate(Rng& rng) {
               out.AddEdge(u, v, static_cast<graphs::Timestamp>(t));
             }
           } else {
+            // The fallback draws distinct destinations other than u, so it
+            // can emit at most n - 1 of the budget.
+            const int distinct = std::min(wanted, n - 1);
             std::vector<nn::Scalar> probs = full_row_probs();
             std::vector<double> full(static_cast<size_t>(n));
             // Running remaining-mass counter: subtracting each consumed
@@ -738,7 +738,7 @@ graphs::TemporalGraph TgaeGenerator::Generate(Rng& rng) {
               full[static_cast<size_t>(v)] = w;
               remaining += w;
             }
-            for (int d = from_support; d < wanted; ++d) {
+            for (int d = from_support; d < distinct; ++d) {
               graphs::NodeId v;
               if (remaining <= 1e-15) {
                 // All remaining probability mass sits on taken nodes:

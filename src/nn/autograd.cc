@@ -144,13 +144,17 @@ Var MatMul(const Var& a, const Var& b) {
   return MakeOp(std::move(out), {a, b}, [](Node& self) {
     auto& pa = self.parents[0];
     auto& pb = self.parents[1];
+    // dA += G * B^T and dB += A^T * G, accumulated straight into the
+    // gradients: no transposed tensors, no temporary product.
     if (NeedsGrad(pa)) {
       pa->EnsureGrad();
-      pa->grad.AddInPlace(self.grad.MatMul(pb->value.Transpose()));
+      Gemm(self.grad, Trans::kNo, pb->value, Trans::kYes, pa->grad,
+           GemmMode::kAccumulate);
     }
     if (NeedsGrad(pb)) {
       pb->EnsureGrad();
-      pb->grad.AddInPlace(pa->value.Transpose().MatMul(self.grad));
+      Gemm(pa->value, Trans::kYes, self.grad, Trans::kNo, pb->grad,
+           GemmMode::kAccumulate);
     }
   });
 }
@@ -315,30 +319,29 @@ Var RowKernelOp(const Var& a, FwdFn fwd, BwdFn bwd) {
 /// Shared plumbing for elementwise y=f(x) with dy/dx expressible from y / x.
 /// Kept for the activations whose f is a libm call the SIMD backends do not
 /// mirror (tanh, log) or that are cold (square); the hot activations go
-/// through RowKernelOp above.
-Var ElementwiseOp(const Var& a, const std::function<Scalar(Scalar)>& fwd,
-                  std::function<Scalar(Scalar x, Scalar y)> dydx) {
+/// through RowKernelOp above. The callables are template parameters so
+/// each per-element call inlines instead of going through std::function.
+template <typename Fwd, typename Dydx>
+Var ElementwiseOp(const Var& a, Fwd fwd, Dydx dydx) {
   Tensor out = a.value();
   parallel::ParallelFor(0, out.size(), kElementwiseGrain,
                         [&](int64_t b, int64_t e) {
                           for (int64_t i = b; i < e; ++i)
                             out.data()[i] = fwd(out.data()[i]);
                         });
-  return MakeOp(std::move(out), {a},
-                [dydx = std::move(dydx)](Node& self) {
-                  auto& pa = self.parents[0];
-                  if (!NeedsGrad(pa)) return;
-                  pa->EnsureGrad();
-                  parallel::ParallelFor(
-                      0, self.grad.size(), kElementwiseGrain,
-                      [&](int64_t b, int64_t e) {
-                        for (int64_t i = b; i < e; ++i) {
-                          pa->grad.data()[i] +=
-                              self.grad.data()[i] *
-                              dydx(pa->value.data()[i], self.value.data()[i]);
-                        }
-                      });
-                });
+  return MakeOp(std::move(out), {a}, [dydx](Node& self) {
+    auto& pa = self.parents[0];
+    if (!NeedsGrad(pa)) return;
+    pa->EnsureGrad();
+    parallel::ParallelFor(
+        0, self.grad.size(), kElementwiseGrain, [&](int64_t b, int64_t e) {
+          for (int64_t i = b; i < e; ++i) {
+            pa->grad.data()[i] +=
+                self.grad.data()[i] *
+                dydx(pa->value.data()[i], self.value.data()[i]);
+          }
+        });
+  });
 }
 
 }  // namespace
@@ -733,12 +736,126 @@ Var Transpose(const Var& a) {
 // Losses.
 // ---------------------------------------------------------------------------
 
+void SparseRowTargets::SortRowsByColumn() {
+  std::vector<std::pair<int, Scalar>> entries;
+  for (int r = 0; r < rows(); ++r) {
+    const size_t begin = static_cast<size_t>(offsets[static_cast<size_t>(r)]);
+    const size_t end =
+        static_cast<size_t>(offsets[static_cast<size_t>(r) + 1]);
+    entries.clear();
+    for (size_t e = begin; e < end; ++e)
+      entries.emplace_back(cols[e], weights[e]);
+    std::sort(entries.begin(), entries.end(),
+              [](const auto& x, const auto& y) { return x.first < y.first; });
+    for (size_t e = begin; e < end; ++e) {
+      cols[e] = entries[e - begin].first;
+      weights[e] = entries[e - begin].second;
+    }
+  }
+}
+
 Var RowCrossEntropyWithLogits(const Var& logits, const Tensor& targets) {
   TGSIM_CHECK(logits.value().SameShape(targets));
-  Var log_p = LogSoftmaxRows(logits);
-  Var weighted = Mul(log_p, Var::Constant(targets));
-  int rows = targets.rows();
-  return Scale(Sum(weighted), -1.0 / static_cast<Scalar>(rows));
+  // Only the nonzero targets: a zero target adds log_p * 0 = +/-0.0 to the
+  // loss sum and +0.0 to its row's gradient sum. Both sums start at +0.0
+  // and round to nearest, so neither is ever -0.0, and skipping those
+  // terms changes no bit.
+  SparseRowTargets sparse;
+  for (int r = 0; r < targets.rows(); ++r) {
+    const Scalar* t = targets.row(r);
+    for (int c = 0; c < targets.cols(); ++c)
+      if (t[c] != 0.0) sparse.AppendEntry(c, t[c]);
+    sparse.FinishRow();
+  }
+  return RowCrossEntropyWithLogits(logits, sparse);
+}
+
+Var RowCrossEntropyWithLogits(const Var& logits,
+                              const SparseRowTargets& targets) {
+  const Tensor& x = logits.value();
+  const int rows = x.rows();
+  const int cols = x.cols();
+  TGSIM_CHECK_EQ(targets.rows(), rows);
+  TGSIM_CHECK_EQ(targets.cols.size(), targets.weights.size());
+  for (int r = 0; r < rows; ++r) {
+    int prev = -1;
+    for (int e = targets.offsets[static_cast<size_t>(r)];
+         e < targets.offsets[static_cast<size_t>(r) + 1]; ++e) {
+      const int c = targets.cols[static_cast<size_t>(e)];
+      TGSIM_CHECK(c > prev && c < cols);
+      prev = c;
+    }
+  }
+
+  // Per row (in parallel): log_z, and each entry's (x - log_z) * w term in
+  // its own slot. Then one serial sweep over the terms: the dense chain's
+  // row-major Sum without its zero-target terms.
+  std::vector<Scalar> log_z(static_cast<size_t>(rows));
+  std::vector<Scalar> term(targets.cols.size());
+  parallel::ParallelFor(
+      0, rows, RowGrain(cols), [&](int64_t r0, int64_t r1) {
+        std::vector<Scalar> scratch(static_cast<size_t>(cols));
+        for (int64_t ri = r0; ri < r1; ++ri) {
+          const int r = static_cast<int>(ri);
+          const Scalar m = kernels::RowMax(x.row(r), cols);
+          const Scalar z = kernels::ExpRowSum(x.row(r), m, scratch.data(),
+                                              cols);
+          const Scalar lz = m + std::log(z);
+          log_z[static_cast<size_t>(r)] = lz;
+          for (int e = targets.offsets[static_cast<size_t>(r)];
+               e < targets.offsets[static_cast<size_t>(r) + 1]; ++e) {
+            const size_t ei = static_cast<size_t>(e);
+            term[ei] = (x.at(r, targets.cols[ei]) - lz) * targets.weights[ei];
+          }
+        }
+      });
+  Scalar total = 0.0;
+  for (Scalar v : term) total += v;
+  const Scalar scale = -1.0 / static_cast<Scalar>(rows);
+  Tensor out(1, 1);
+  out.at(0, 0) = total * scale;
+
+  return MakeOp(
+      std::move(out), {logits},
+      [t = targets, log_z = std::move(log_z), scale](Node& self) {
+        auto& pa = self.parents[0];
+        if (!NeedsGrad(pa)) return;
+        pa->EnsureGrad();
+        // The dense chain's backward, element for element: the Sum node's
+        // gradient is 0.0 + scale * g; a target entry's log-softmax
+        // gradient is 0.0 + gs * w, every other entry's is +0.0; the
+        // logits gradient adds go - p * gsum, with p = exp(log_p) and gsum
+        // the ascending sum of go over the row.
+        const Scalar gs = 0.0 + scale * self.grad.at(0, 0);
+        const int cols = pa->value.cols();
+        parallel::ParallelFor(
+            0, pa->value.rows(), RowGrain(cols), [&](int64_t r0, int64_t r1) {
+              std::vector<Scalar> p(static_cast<size_t>(cols));
+              std::vector<Scalar> go(static_cast<size_t>(cols), 0.0);
+              for (int64_t ri = r0; ri < r1; ++ri) {
+                const int r = static_cast<int>(ri);
+                const int begin = t.offsets[static_cast<size_t>(r)];
+                const int end = t.offsets[static_cast<size_t>(r) + 1];
+                Scalar gsum = 0.0;
+                for (int e = begin; e < end; ++e) {
+                  const size_t ei = static_cast<size_t>(e);
+                  const Scalar g = 0.0 + gs * t.weights[ei];
+                  go[static_cast<size_t>(t.cols[ei])] = g;
+                  gsum += g;
+                }
+                // x - log_z is the dense chain's log_p, and its exp input
+                // log_p - 0.0 is log_p again.
+                kernels::ExpRow(pa->value.row(r),
+                                log_z[static_cast<size_t>(r)], p.data(),
+                                cols);
+                kernels::LogSoftmaxBwdRow(go.data(), p.data(), gsum,
+                                          pa->grad.row(r), cols);
+                for (int e = begin; e < end; ++e)
+                  go[static_cast<size_t>(t.cols[static_cast<size_t>(e)])] =
+                      0.0;
+              }
+            });
+      });
 }
 
 Var SampledSoftmaxCrossEntropy(const Var& logits,

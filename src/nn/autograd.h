@@ -134,11 +134,6 @@ Var Transpose(const Var& a);
 // Losses.
 // ---------------------------------------------------------------------------
 
-/// Mean over rows of -<target_row, log_softmax(logit_row)>. This is the
-/// reconstruction term of the paper's Eq. 6/7 where each target row is the
-/// (normalized) adjacency row A_{u^t}.
-Var RowCrossEntropyWithLogits(const Var& logits, const Tensor& targets);
-
 /// Sparse per-row targets in CSR form: row i owns the entries
 /// [offsets[i], offsets[i+1]) of cols/weights. `cols` index the columns of
 /// the logits they will be scored against (candidate-space columns for the
@@ -154,7 +149,22 @@ struct SparseRowTargets {
     weights.push_back(weight);
   }
   void FinishRow() { offsets.push_back(static_cast<int>(cols.size())); }
+  /// Reorders each row's entries by ascending column.
+  void SortRowsByColumn();
 };
+
+/// Mean over rows of -<target_row, log_softmax(logit_row)>. This is the
+/// reconstruction term of the paper's Eq. 6/7 where each target row is the
+/// (normalized) adjacency row A_{u^t}. One tape node: it keeps a per-row
+/// log-normalizer instead of the n-wide log-softmax, target product and
+/// their gradients. Its loss and logits-gradient bits equal the
+/// LogSoftmaxRows -> Mul -> Sum -> Scale chain on the dense target.
+Var RowCrossEntropyWithLogits(const Var& logits, const Tensor& targets);
+/// The same loss on sparse targets; each row's columns must be strictly
+/// ascending (the order the dense chain sums them in). Equal, bit for bit,
+/// to the dense overload on the scattered targets.
+Var RowCrossEntropyWithLogits(const Var& logits,
+                              const SparseRowTargets& targets);
 
 /// Sampled-softmax cross entropy: mean over rows of
 /// -sum_j w_j * log_softmax(logit_row)[c_j], with the softmax taken over

@@ -29,6 +29,13 @@ namespace tgsim::nn::kernels {
 ///    any thread count and on any backend. SIMD variants may only
 ///    vectorize across independent outputs (DotPanel4 runs four such
 ///    chains at once, one per lane).
+///  - GEMM (GemmBlock, under Tensor::MatMul and nn::Gemm) is that rule on
+///    a matrix: output (i, j) is acc = +0.0, then acc += A(i,k) * B(k,j)
+///    for ascending k, each product and sum separately rounded (no FMA),
+///    and only then assigned to C or added once onto it. Register tiles
+///    hold several such chains side by side; how outputs are tiled, and
+///    which thread owns a tile, never touches a chain, so the result
+///    equals Dot, DotPanel4 and the naive triple loop bit for bit.
 ///  - ExpRowSum is the one sanctioned fixed-shape reduction: four
 ///    accumulators fed from consecutive indices, combined ((a0+a1)+a2)+a3,
 ///    with an ascending scalar tail. The shape depends only on n, so the
@@ -51,10 +58,11 @@ namespace tgsim::nn::kernels {
 /// `Dot` and `DotSum2` are intentionally the serial chain in EVERY
 /// backend: a single-accumulator FP add chain is latency-bound, lanes
 /// cannot speed it up without changing the association, and the TGAE
-/// sparse/dense pin plus MatMul's per-column k-accumulation depend on that
-/// association. They bypass the dispatch table entirely so the compiler
-/// can keep inlining them into the generation hot loops. Batched decode
-/// throughput comes from DotPanel4 instead.
+/// sparse/dense pin (a sparse-decode logit is a Dot, the dense decode a
+/// GEMM output) depends on that association. They bypass the dispatch
+/// table entirely so the compiler can keep inlining them into the
+/// generation hot loops. Batched throughput comes from DotPanel4 and
+/// GemmBlock instead.
 
 namespace detail {
 
@@ -181,8 +189,8 @@ inline void DivRow(Scalar* TGSIM_RESTRICT x, Scalar z, int n) {
 }
 
 /// Ascending-index dot product: single left-associated chain —
-/// bit-identical to the naive loop (and to the k-accumulation of a MatMul
-/// output column, which the TGAE sparse/dense pin relies on).
+/// bit-identical to the naive loop (and to a GemmBlock output, which the
+/// TGAE sparse/dense pin relies on).
 inline Scalar Dot(const Scalar* TGSIM_RESTRICT a,
                   const Scalar* TGSIM_RESTRICT b, int n) {
   Scalar s = 0.0;
@@ -223,23 +231,65 @@ inline void DotPanel4(const Scalar* TGSIM_RESTRICT h,
   out4[3] = s3;
 }
 
-/// o[j] += a * b[j]: one rank-1 row update of the ikj MatMul kernel.
+/// o[j] += a * b[j].
 inline void AxpyRow(Scalar a, const Scalar* TGSIM_RESTRICT b,
                     Scalar* TGSIM_RESTRICT o, int n) {
   for (int j = 0; j < n; ++j) o[j] += a * b[j];
 }
 
-/// Four fused rank-1 row updates:
-///   o[j] = (((o[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j].
-/// C++ `+` is left-associative, so per output element this is exactly the
-/// chain four sequential AxpyRow passes would produce.
-inline void Axpy4Row(Scalar a0, const Scalar* TGSIM_RESTRICT b0, Scalar a1,
-                     const Scalar* TGSIM_RESTRICT b1, Scalar a2,
-                     const Scalar* TGSIM_RESTRICT b2, Scalar a3,
-                     const Scalar* TGSIM_RESTRICT b3,
-                     Scalar* TGSIM_RESTRICT o, int n) {
-  for (int j = 0; j < n; ++j)
-    o[j] = o[j] + a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+/// One register tile of the GEMM below: an MR x NR block of outputs, each
+/// its own ascending-kk chain that starts at +0.0 and is assigned to, or
+/// added once onto, its C entry. Strides as in GemmBlock.
+template <int MR, int NR>
+inline void GemmTile(int k, const Scalar* TGSIM_RESTRICT a, int64_t a_rs,
+                     int64_t a_cs, const Scalar* TGSIM_RESTRICT b,
+                     int64_t ldb, Scalar* TGSIM_RESTRICT c, int64_t ldc,
+                     bool accumulate) {
+  Scalar acc[MR][NR] = {};
+  for (int kk = 0; kk < k; ++kk) {
+    const Scalar* bk = b + kk * ldb;
+    for (int ii = 0; ii < MR; ++ii) {
+      const Scalar aik = a[ii * a_rs + kk * a_cs];
+      for (int jj = 0; jj < NR; ++jj) acc[ii][jj] += aik * bk[jj];
+    }
+  }
+  for (int ii = 0; ii < MR; ++ii) {
+    Scalar* ci = c + ii * ldc;
+    for (int jj = 0; jj < NR; ++jj)
+      ci[jj] = accumulate ? ci[jj] + acc[ii][jj] : acc[ii][jj];
+  }
+}
+
+/// C (+)= A * B over an m x n block with shared dimension k, where
+///   A(i, kk) = a[i*a_rs + kk*a_cs]   (a transposed A just swaps strides),
+///   B(kk, j) = b[kk*ldb + j],        C(i, j) = c[i*ldc + j].
+/// Every output is one chain: acc = +0.0; acc += A(i,kk) * B(kk,j) for
+/// ascending kk; then C(i,j) = acc, or C(i,j) + acc when accumulating.
+/// That is bit for bit the naive triple loop and Dot on the same
+/// operands; the blocking only decides which outputs share a pass over B.
+/// k == 0 still writes (+0.0, or C + 0.0).
+inline void GemmBlock(int m, int n, int k, const Scalar* a, int64_t a_rs,
+                      int64_t a_cs, const Scalar* b, int64_t ldb, Scalar* c,
+                      int64_t ldc, bool accumulate) {
+  int i = 0;
+  for (; i + 3 < m; i += 4) {
+    const Scalar* ai = a + i * a_rs;
+    Scalar* ci = c + i * ldc;
+    int j = 0;
+    for (; j + 3 < n; j += 4)
+      GemmTile<4, 4>(k, ai, a_rs, a_cs, b + j, ldb, ci + j, ldc, accumulate);
+    for (; j < n; ++j)
+      GemmTile<4, 1>(k, ai, a_rs, a_cs, b + j, ldb, ci + j, ldc, accumulate);
+  }
+  for (; i < m; ++i) {
+    const Scalar* ai = a + i * a_rs;
+    Scalar* ci = c + i * ldc;
+    int j = 0;
+    for (; j + 7 < n; j += 8)
+      GemmTile<1, 8>(k, ai, a_rs, a_cs, b + j, ldb, ci + j, ldc, accumulate);
+    for (; j < n; ++j)
+      GemmTile<1, 1>(k, ai, a_rs, a_cs, b + j, ldb, ci + j, ldc, accumulate);
+  }
 }
 
 /// dst[i] += x[i].
@@ -408,10 +458,10 @@ inline void AxpyRow(Scalar a, const Scalar* b, Scalar* o, int n) {
   Ops().axpy_row(a, b, o, n);
 }
 
-inline void Axpy4Row(Scalar a0, const Scalar* b0, Scalar a1, const Scalar* b1,
-                     Scalar a2, const Scalar* b2, Scalar a3, const Scalar* b3,
-                     Scalar* o, int n) {
-  Ops().axpy4_row(a0, b0, a1, b1, a2, b2, a3, b3, o, n);
+inline void GemmBlock(int m, int n, int k, const Scalar* a, int64_t a_rs,
+                      int64_t a_cs, const Scalar* b, int64_t ldb, Scalar* c,
+                      int64_t ldc, bool accumulate) {
+  Ops().gemm_block(m, n, k, a, a_rs, a_cs, b, ldb, c, ldc, accumulate);
 }
 
 inline void AddRow(Scalar* dst, const Scalar* x, int n) {

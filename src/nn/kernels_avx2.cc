@@ -133,24 +133,94 @@ void AxpyRowAvx2(Scalar a, const Scalar* b, Scalar* o, int n) {
   for (; i < n; ++i) o[i] += a * b[i];
 }
 
-void Axpy4RowAvx2(Scalar a0, const Scalar* b0, Scalar a1, const Scalar* b1,
-                  Scalar a2, const Scalar* b2, Scalar a3, const Scalar* b3,
-                  Scalar* o, int n) {
-  const __m256d a0v = _mm256_set1_pd(a0);
-  const __m256d a1v = _mm256_set1_pd(a1);
-  const __m256d a2v = _mm256_set1_pd(a2);
-  const __m256d a3v = _mm256_set1_pd(a3);
-  int i = 0;
-  for (; i + 3 < n; i += 4) {
-    __m256d acc = _mm256_loadu_pd(o + i);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(a0v, _mm256_loadu_pd(b0 + i)));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(a1v, _mm256_loadu_pd(b1 + i)));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(a2v, _mm256_loadu_pd(b2 + i)));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(a3v, _mm256_loadu_pd(b3 + i)));
-    _mm256_storeu_pd(o + i, acc);
+/// MR rows x NV four-wide column vectors of GEMM outputs, accumulators
+/// held in registers across the whole kk loop. Lane j of acc[ii][v] is
+/// exactly scalar::GemmTile's chain for output (ii, 4v + j): +0.0, then
+/// one separately rounded multiply and add per kk, ascending. A 1-3
+/// column tail runs as one vector whose B loads and C loads/stores are
+/// masked to `tail`; its dead lanes are computed on zeros and never stored.
+template <int MR, int NV, bool kMasked = false>
+inline void GemmTileAvx2(int k, const Scalar* a, int64_t a_rs, int64_t a_cs,
+                         const Scalar* b, int64_t ldb, Scalar* c, int64_t ldc,
+                         bool accumulate, __m256i tail = __m256i()) {
+  static_assert(!kMasked || NV == 1, "only a single vector is masked");
+  __m256d acc[MR][NV];
+  for (int ii = 0; ii < MR; ++ii)
+    for (int v = 0; v < NV; ++v) acc[ii][v] = _mm256_setzero_pd();
+  for (int kk = 0; kk < k; ++kk) {
+    const Scalar* bk = b + kk * ldb;
+    __m256d bv[NV];
+    for (int v = 0; v < NV; ++v) {
+      if constexpr (kMasked)
+        bv[v] = _mm256_maskload_pd(bk, tail);
+      else
+        bv[v] = _mm256_loadu_pd(bk + 4 * v);
+    }
+    for (int ii = 0; ii < MR; ++ii) {
+      const __m256d aik = _mm256_broadcast_sd(a + ii * a_rs + kk * a_cs);
+      for (int v = 0; v < NV; ++v)
+        acc[ii][v] = _mm256_add_pd(acc[ii][v], _mm256_mul_pd(aik, bv[v]));
+    }
   }
-  for (; i < n; ++i)
-    o[i] = o[i] + a0 * b0[i] + a1 * b1[i] + a2 * b2[i] + a3 * b3[i];
+  for (int ii = 0; ii < MR; ++ii)
+    for (int v = 0; v < NV; ++v) {
+      Scalar* cv = c + ii * ldc + 4 * v;
+      if constexpr (kMasked) {
+        const __m256d out =
+            accumulate ? _mm256_add_pd(_mm256_maskload_pd(cv, tail), acc[ii][v])
+                       : acc[ii][v];
+        _mm256_maskstore_pd(cv, tail, out);
+      } else {
+        _mm256_storeu_pd(cv, accumulate ? _mm256_add_pd(_mm256_loadu_pd(cv),
+                                                        acc[ii][v])
+                                        : acc[ii][v]);
+      }
+    }
+}
+
+/// Four-row blocks take 4x8 tiles (eight accumulators: enough independent
+/// add chains to cover the add latency); leftover rows, and so every
+/// 1-row product, take 1x32 tiles for the same reason. Narrower column
+/// tails fall back to 4-wide vectors, then to one masked vector.
+void GemmBlockAvx2(int m, int n, int k, const Scalar* a, int64_t a_rs,
+                   int64_t a_cs, const Scalar* b, int64_t ldb, Scalar* c,
+                   int64_t ldc, bool accumulate) {
+  const int rem = n % 4;
+  const __m256i tail =
+      _mm256_setr_epi64x(rem > 0 ? -1 : 0, rem > 1 ? -1 : 0, rem > 2 ? -1 : 0,
+                         0);
+  int i = 0;
+  for (; i + 3 < m; i += 4) {
+    const Scalar* ai = a + i * a_rs;
+    Scalar* ci = c + i * ldc;
+    int j = 0;
+    for (; j + 7 < n; j += 8)
+      GemmTileAvx2<4, 2>(k, ai, a_rs, a_cs, b + j, ldb, ci + j, ldc,
+                         accumulate);
+    for (; j + 3 < n; j += 4)
+      GemmTileAvx2<4, 1>(k, ai, a_rs, a_cs, b + j, ldb, ci + j, ldc,
+                         accumulate);
+    if (j < n)
+      GemmTileAvx2<4, 1, true>(k, ai, a_rs, a_cs, b + j, ldb, ci + j, ldc,
+                               accumulate, tail);
+  }
+  for (; i < m; ++i) {
+    const Scalar* ai = a + i * a_rs;
+    Scalar* ci = c + i * ldc;
+    int j = 0;
+    for (; j + 31 < n; j += 32)
+      GemmTileAvx2<1, 8>(k, ai, a_rs, a_cs, b + j, ldb, ci + j, ldc,
+                         accumulate);
+    for (; j + 7 < n; j += 8)
+      GemmTileAvx2<1, 2>(k, ai, a_rs, a_cs, b + j, ldb, ci + j, ldc,
+                         accumulate);
+    for (; j + 3 < n; j += 4)
+      GemmTileAvx2<1, 1>(k, ai, a_rs, a_cs, b + j, ldb, ci + j, ldc,
+                         accumulate);
+    if (j < n)
+      GemmTileAvx2<1, 1, true>(k, ai, a_rs, a_cs, b + j, ldb, ci + j, ldc,
+                               accumulate, tail);
+  }
 }
 
 void AddRowAvx2(Scalar* dst, const Scalar* x, int n) {
@@ -380,7 +450,7 @@ const KernelOps kAvx2Ops = {
     scalar::DotSum2,   // serial chain in every backend
     DotPanel4Avx2,
     AxpyRowAvx2,
-    Axpy4RowAvx2,
+    GemmBlockAvx2,
     AddRowAvx2,
     ScaleRowAvx2,
     MulRowAvx2,

@@ -125,26 +125,6 @@ void AxpyRowNeon(Scalar a, const Scalar* b, Scalar* o, int n) {
   for (; i < n; ++i) o[i] += a * b[i];
 }
 
-void Axpy4RowNeon(Scalar a0, const Scalar* b0, Scalar a1, const Scalar* b1,
-                  Scalar a2, const Scalar* b2, Scalar a3, const Scalar* b3,
-                  Scalar* o, int n) {
-  const float64x2_t a0v = vdupq_n_f64(a0);
-  const float64x2_t a1v = vdupq_n_f64(a1);
-  const float64x2_t a2v = vdupq_n_f64(a2);
-  const float64x2_t a3v = vdupq_n_f64(a3);
-  int i = 0;
-  for (; i + 1 < n; i += 2) {
-    float64x2_t acc = vld1q_f64(o + i);
-    acc = vaddq_f64(acc, vmulq_f64(a0v, vld1q_f64(b0 + i)));
-    acc = vaddq_f64(acc, vmulq_f64(a1v, vld1q_f64(b1 + i)));
-    acc = vaddq_f64(acc, vmulq_f64(a2v, vld1q_f64(b2 + i)));
-    acc = vaddq_f64(acc, vmulq_f64(a3v, vld1q_f64(b3 + i)));
-    vst1q_f64(o + i, acc);
-  }
-  for (; i < n; ++i)
-    o[i] = o[i] + a0 * b0[i] + a1 * b1[i] + a2 * b2[i] + a3 * b3[i];
-}
-
 void AddRowNeon(Scalar* dst, const Scalar* x, int n) {
   int i = 0;
   for (; i + 1 < n; i += 2)
@@ -352,7 +332,7 @@ const KernelOps kNeonOps = {
     scalar::DotSum2,   // serial chain in every backend
     DotPanel4Neon,
     AxpyRowNeon,
-    Axpy4RowNeon,
+    scalar::GemmBlock,  // no NEON microkernel yet: scalar reference
     AddRowNeon,
     ScaleRowNeon,
     MulRowNeon,

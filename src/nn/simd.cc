@@ -18,7 +18,7 @@ const KernelOps kScalarOps = {
     scalar::DotSum2,
     scalar::DotPanel4,
     scalar::AxpyRow,
-    scalar::Axpy4Row,
+    scalar::GemmBlock,
     scalar::AddRow,
     scalar::ScaleRow,
     scalar::MulRow,
@@ -39,11 +39,13 @@ const KernelOps kScalarOps = {
 
 Backend g_active_backend = Backend::kScalar;
 
+#if !defined(TGSIM_FORCE_SCALAR_BUILD)
 bool ForcedScalarByEnv() {
   const char* v = std::getenv("TGSIM_FORCE_SCALAR");
   if (v == nullptr || v[0] == '\0') return false;
   return std::strcmp(v, "0") != 0;
 }
+#endif
 
 }  // namespace
 

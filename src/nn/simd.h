@@ -2,6 +2,7 @@
 #define TGSIM_NN_SIMD_H_
 
 #include <atomic>
+#include <cstdint>
 
 #include "nn/tensor.h"
 
@@ -27,16 +28,16 @@ struct KernelOps {
   void (*div_row)(Scalar* x, Scalar z, int n);
   // dot/dot_sum2 are the serial ascending chain in EVERY backend: the
   // single-accumulator chain is add-latency-bound, so lanes cannot help
-  // without changing the association the MatMul/TGAE pins rely on.
+  // without changing the association the GEMM/TGAE pins rely on.
   Scalar (*dot)(const Scalar* a, const Scalar* b, int n);
   Scalar (*dot_sum2)(const Scalar* a, const Scalar* b1, const Scalar* b2,
                      int n);
   void (*dot_panel4)(const Scalar* h, const Scalar* panel, int d,
                      Scalar* out4);
   void (*axpy_row)(Scalar a, const Scalar* b, Scalar* o, int n);
-  void (*axpy4_row)(Scalar a0, const Scalar* b0, Scalar a1, const Scalar* b1,
-                    Scalar a2, const Scalar* b2, Scalar a3, const Scalar* b3,
-                    Scalar* o, int n);
+  void (*gemm_block)(int m, int n, int k, const Scalar* a, int64_t a_rs,
+                     int64_t a_cs, const Scalar* b, int64_t ldb, Scalar* c,
+                     int64_t ldc, bool accumulate);
   void (*add_row)(Scalar* dst, const Scalar* x, int n);
   void (*scale_row)(Scalar* x, Scalar s, int n);
   void (*mul_row)(Scalar* dst, const Scalar* x, int n);

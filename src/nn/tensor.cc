@@ -16,12 +16,15 @@ namespace {
 using parallel::kElementwiseGrain;
 using parallel::RowGrain;
 
-/// Rows per MatMul task, sized so one task stays around L2 while leaving
-/// enough tasks to fill the pool on paper-sized (512-1024) operands.
-constexpr int kMatMulRowPanel = 32;
+/// Gemm output tiles: 32 rows x 64 columns, a multiple of every
+/// microkernel shape. Tiling both output dimensions lets a 32 x n weight
+/// gradient spread over the pool as well as an m x 32 activation product.
+constexpr int kGemmRowTile = 32;
+constexpr int kGemmColTile = 64;
 
-/// Cache block over the shared dimension of MatMul.
-constexpr int kMatMulKBlock = 64;
+/// Multiply-adds per Gemm task: a product below this runs inline as one
+/// block, a larger one is chunked into tasks of about this size.
+constexpr int64_t kGemmTaskWork = int64_t{1} << 17;
 
 }  // namespace
 
@@ -54,6 +57,8 @@ Tensor::Tensor(int rows, int cols) {
   Allocate(rows, cols);
   if (data_ != nullptr) std::memset(data_, 0, size() * sizeof(Scalar));
 }
+
+Tensor::Tensor(int rows, int cols, Uninitialized) { Allocate(rows, cols); }
 
 Tensor::Tensor(int rows, int cols, Scalar fill) {
   Allocate(rows, cols);
@@ -203,35 +208,8 @@ Tensor Tensor::operator*(Scalar s) const {
 
 Tensor Tensor::MatMul(const Tensor& other) const {
   TGSIM_CHECK_EQ(cols_, other.rows_);
-  Tensor out(rows_, other.cols_);
-  const int n = other.cols_;
-  // Cache-blocked ikj kernel parallelized over row panels. Each output row
-  // is owned by exactly one panel, and within a row the k accumulation
-  // order is ascending regardless of blocking — so the result is
-  // bit-identical for any thread count (and to the unblocked serial loop).
-  // The inner k loop is unrolled by 4 through kernels::Axpy4Row, which
-  // fuses four rank-1 row updates into one pass over the output row; its
-  // per-element chain is left-associated in ascending k, so the unroll
-  // changes memory traffic, not results.
-  parallel::ParallelFor(
-      0, rows_, kMatMulRowPanel, [&](int64_t i0, int64_t i1) {
-        for (int k0 = 0; k0 < cols_; k0 += kMatMulKBlock) {
-          const int k1 = std::min(cols_, k0 + kMatMulKBlock);
-          for (int64_t i = i0; i < i1; ++i) {
-            const Scalar* a_row = row(static_cast<int>(i));
-            Scalar* o_row = out.row(static_cast<int>(i));
-            int k = k0;
-            for (; k + 3 < k1; k += 4) {
-              kernels::Axpy4Row(a_row[k], other.row(k), a_row[k + 1],
-                                other.row(k + 1), a_row[k + 2],
-                                other.row(k + 2), a_row[k + 3],
-                                other.row(k + 3), o_row, n);
-            }
-            for (; k < k1; ++k)
-              kernels::AxpyRow(a_row[k], other.row(k), o_row, n);
-          }
-        }
-      });
+  Tensor out(rows_, other.cols_, Uninitialized{});
+  Gemm(*this, Trans::kNo, other, Trans::kNo, out, GemmMode::kAssign);
   return out;
 }
 
@@ -305,6 +283,79 @@ Tensor Tensor::SoftmaxRows() const {
     }
   });
   return out;
+}
+
+void Gemm(const Tensor& a, Trans op_a, const Tensor& b, Trans op_b, Tensor& c,
+          GemmMode mode) {
+  const bool ta = op_a == Trans::kYes;
+  const bool tb = op_b == Trans::kYes;
+  const int m = ta ? a.cols() : a.rows();
+  const int k = ta ? a.rows() : a.cols();
+  const int n = tb ? b.rows() : b.cols();
+  TGSIM_CHECK_EQ(tb ? b.cols() : b.rows(), k);
+  TGSIM_CHECK_EQ(c.rows(), m);
+  TGSIM_CHECK_EQ(c.cols(), n);
+  TGSIM_DCHECK(c.data() != a.data() && c.data() != b.data());
+  if (m == 0 || n == 0) return;
+  const bool accumulate = mode == GemmMode::kAccumulate;
+  if (k == 0) {
+    // Every chain is empty: +0.0, added onto C when accumulating. Handled
+    // here so no offset is ever applied to an empty operand's null data.
+    for (int64_t i = 0; i < c.size(); ++i)
+      c.data()[i] = accumulate ? c.data()[i] + 0.0 : 0.0;
+    return;
+  }
+  // A transposed A is the same buffer read with swapped strides.
+  const int64_t a_rs = ta ? 1 : k;
+  const int64_t a_cs = ta ? m : 1;
+
+  // The microkernels read B one k-row at a time, so a transposed B is
+  // packed once into a k x n row-major panel that every tile then reads.
+  // The panel is the calling thread's and is reused across calls: no
+  // allocation once it has grown, and nothing else runs on this thread
+  // until the tiles below have finished.
+  const Scalar* bp = b.data();
+  if (tb) {
+    thread_local std::vector<Scalar> panel;
+    panel.resize(static_cast<size_t>(k) * static_cast<size_t>(n));
+    for (int j = 0; j < n; ++j) {
+      const Scalar* src = b.row(j);
+      for (int kk = 0; kk < k; ++kk)
+        panel[static_cast<size_t>(kk) * n + j] = src[kk];
+    }
+    bp = panel.data();
+  }
+  // Output rows [i0, i1) x columns [j0, j1).
+  auto block = [&](int i0, int i1, int j0, int j1) {
+    kernels::GemmBlock(i1 - i0, j1 - j0, k, a.data() + i0 * a_rs, a_rs, a_cs,
+                       bp + j0, n, c.row(i0) + j0, n, accumulate);
+  };
+
+  const int64_t work = static_cast<int64_t>(m) * n * k;
+  // One-row products (per-step recurrent updates, generation-time heads)
+  // and small products stay inline: no pool hand-off, no tiling.
+  if (m == 1 || work <= kGemmTaskWork) {
+    block(0, m, 0, n);
+    return;
+  }
+  // Tiles run column-major so a task's consecutive tiles share one block
+  // of B columns. Every output belongs to exactly one tile and its chain
+  // never crosses a tile, so the tiling cannot change a bit.
+  const int row_tiles = (m + kGemmRowTile - 1) / kGemmRowTile;
+  const int col_tiles = (n + kGemmColTile - 1) / kGemmColTile;
+  const int64_t tile_work =
+      static_cast<int64_t>(kGemmRowTile) * kGemmColTile * k;
+  const int64_t grain = std::max<int64_t>(1, kGemmTaskWork / tile_work);
+  parallel::ParallelFor(
+      0, static_cast<int64_t>(row_tiles) * col_tiles, grain,
+      [&](int64_t t0, int64_t t1) {
+        for (int64_t t = t0; t < t1; ++t) {
+          const int i0 = static_cast<int>(t % row_tiles) * kGemmRowTile;
+          const int j0 = static_cast<int>(t / row_tiles) * kGemmColTile;
+          block(i0, std::min(m, i0 + kGemmRowTile), j0,
+                std::min(n, j0 + kGemmColTile));
+        }
+      });
 }
 
 std::string Tensor::ToString(int max_rows) const {

@@ -131,6 +131,10 @@ class Tensor {
   std::string ToString(int max_rows = 8) const;
 
  private:
+  struct Uninitialized {};
+  /// Storage whose every entry the caller overwrites before reading.
+  Tensor(int rows, int cols, Uninitialized);
+
   void Allocate(int rows, int cols);
   void Deallocate();
 
@@ -140,6 +144,21 @@ class Tensor {
 };
 
 inline Tensor operator*(Scalar s, const Tensor& t) { return t * s; }
+
+/// Whether a Gemm operand is read as stored or transposed.
+enum class Trans { kNo, kYes };
+/// Whether Gemm overwrites C or adds the product onto it.
+enum class GemmMode { kAssign, kAccumulate };
+
+/// C = op(A) * op(B), or C += op(A) * op(B), without materializing a
+/// transpose or a temporary product. C must already have the product's
+/// shape; with kAssign its prior contents are never read. Each output is
+/// one ascending-k chain starting at +0.0, added once onto C when
+/// accumulating — so the result is bit-identical to transposing, calling
+/// MatMul and then AddInPlace, at any thread count and on any kernel
+/// backend. C must not alias A or B.
+void Gemm(const Tensor& a, Trans op_a, const Tensor& b, Trans op_b, Tensor& c,
+          GemmMode mode);
 
 }  // namespace tgsim::nn
 

@@ -19,6 +19,7 @@
 #include "nn/optim.h"
 #include "nn/simd.h"
 #include "nn/tensor.h"
+#include "parallel/thread_pool.h"
 
 namespace tgsim::nn::kernels {
 namespace {
@@ -143,14 +144,6 @@ TEST(KernelBitIdentityTest, ElementwiseKernels) {
     s->axpy_row(1.5, x.data(), as.data(), n);
     d.axpy_row(1.5, x.data(), ad.data(), n);
     EXPECT_TRUE(BitsEqual(as, ad, "AxpyRow", n));
-
-    const std::vector<Scalar> b2 = MakeBuffer(n, 1001), b3 = MakeBuffer(n, 1002);
-    as = base, ad = base;
-    s->axpy4_row(1.5, x.data(), -0.75, y.data(), 2.0, b2.data(), 0.125,
-                 b3.data(), as.data(), n);
-    d.axpy4_row(1.5, x.data(), -0.75, y.data(), 2.0, b2.data(), 0.125,
-                b3.data(), ad.data(), n);
-    EXPECT_TRUE(BitsEqual(as, ad, "Axpy4Row", n));
 
     as = base, ad = base;
     s->add_row(as.data(), x.data(), n);
@@ -393,6 +386,118 @@ TEST(KernelBackendInvarianceTest, TrainStepBitsMatchScalarBackend) {
   const std::vector<Scalar> scalar_bits = run(Backend::kScalar);
   const std::vector<Scalar> active_bits = run(ActiveBackend());
   EXPECT_TRUE(BitsEqual(scalar_bits, active_bits, "TrainStep", 0));
+}
+
+// ---------------------------------------------------------------------------
+// Gemm: every (transpose A, transpose B, assign/accumulate) combination
+// against a naive ascending-k loop, bit for bit, on the scalar and the
+// active backend and at 1, 2 and 8 threads. Shapes cover 1-row and
+// 1-column products, widths that are not a multiple of any SIMD or tile
+// width, k in {0, 1}, and products large enough to be tiled over the pool.
+// ---------------------------------------------------------------------------
+
+/// op(X)(r, c) for a stored X.
+Scalar OpAt(const Tensor& x, bool transposed, int r, int c) {
+  return transposed ? x.at(c, r) : x.at(r, c);
+}
+
+Tensor NaiveGemm(const Tensor& a, bool ta, const Tensor& b, bool tb,
+                 const Tensor& c0, bool accumulate) {
+  Tensor c = c0;
+  const int k = ta ? a.rows() : a.cols();
+  for (int i = 0; i < c.rows(); ++i)
+    for (int j = 0; j < c.cols(); ++j) {
+      Scalar acc = 0.0;
+      for (int kk = 0; kk < k; ++kk)
+        acc += OpAt(a, ta, i, kk) * OpAt(b, tb, kk, j);
+      c.at(i, j) = accumulate ? c.at(i, j) + acc : acc;
+    }
+  return c;
+}
+
+/// Random values peppered with exact and negative zeros, so signed-zero
+/// products and the C + 0.0 of an empty chain are both exercised.
+Tensor GemmOperand(int rows, int cols, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<Scalar> uni(-2.0, 2.0);
+  Tensor t(rows, cols);
+  for (int64_t i = 0; i < t.size(); ++i)
+    t.data()[i] = i % 7 == 3 ? -0.0 : i % 5 == 1 ? 0.0 : uni(rng);
+  return t;
+}
+
+std::vector<Scalar> Flat(const Tensor& t) {
+  return std::vector<Scalar>(t.data(), t.data() + t.size());
+}
+
+TEST(GemmTest, MatchesNaiveLoopBitForBitOnEveryBackendAndThreadCount) {
+  struct Shape {
+    int m, k, n;
+  };
+  const std::vector<Shape> shapes = {
+      {1, 7, 13},   {1, 40, 70},  {9, 5, 1},    {37, 3, 1},  {5, 0, 6},
+      {1, 0, 1},    {6, 1, 11},   {1, 1, 1},    {3, 33, 5},  {70, 150, 67},
+      {32, 300, 130}, {130, 32, 190},
+  };
+  std::vector<Backend> backends = {Backend::kScalar};
+  if (ActiveBackend() != Backend::kScalar) backends.push_back(ActiveBackend());
+  const Backend prev_backend = ActiveBackend();
+  const int prev_threads = parallel::ThreadPool::GlobalThreads();
+  uint64_t seed = 1;
+  for (const Shape& s : shapes) {
+    for (bool ta : {false, true}) {
+      for (bool tb : {false, true}) {
+        const Tensor a = ta ? GemmOperand(s.k, s.m, seed++)
+                            : GemmOperand(s.m, s.k, seed++);
+        const Tensor b = tb ? GemmOperand(s.n, s.k, seed++)
+                            : GemmOperand(s.k, s.n, seed++);
+        const Tensor c0 = GemmOperand(s.m, s.n, seed++);
+        for (bool accumulate : {false, true}) {
+          const std::vector<Scalar> want =
+              Flat(NaiveGemm(a, ta, b, tb, c0, accumulate));
+          for (Backend backend : backends) {
+            SetBackendForTest(backend);
+            for (int threads : {1, 2, 8}) {
+              parallel::ThreadPool::SetGlobalThreads(threads);
+              // Assign must not read C: start it from garbage.
+              Tensor c = accumulate ? c0 : Tensor(s.m, s.n, 1e300);
+              Gemm(a, ta ? Trans::kYes : Trans::kNo, b,
+                   tb ? Trans::kYes : Trans::kNo, c,
+                   accumulate ? GemmMode::kAccumulate : GemmMode::kAssign);
+              EXPECT_TRUE(BitsEqual(want, Flat(c), "Gemm", s.n))
+                  << s.m << "x" << s.k << "x" << s.n << " ta=" << ta
+                  << " tb=" << tb << " acc=" << accumulate << " backend="
+                  << BackendName(backend) << " threads=" << threads;
+            }
+          }
+        }
+      }
+    }
+  }
+  SetBackendForTest(prev_backend);
+  parallel::ThreadPool::SetGlobalThreads(prev_threads);
+}
+
+TEST(GemmTest, EmptyChainKernelWritesPositiveZeroOrAddsIt) {
+  // k == 0 straight through each backend's block kernel (Gemm handles it
+  // before the kernel): assign writes +0.0, accumulate turns -0.0 into
+  // +0.0 and leaves everything else alone.
+  const Scalar a = 1.0, b = 1.0;
+  for (const KernelOps* ops : {GetScalarOps(), &Ops()}) {
+    for (int n : {1, 5, 9, 33}) {
+      std::vector<Scalar> c(static_cast<size_t>(2 * n), -0.0);
+      c[0] = 2.5;
+      ops->gemm_block(2, n, 0, &a, 0, 0, &b, 0, c.data(), n, true);
+      EXPECT_EQ(c[0], 2.5);
+      for (size_t i = 1; i < c.size(); ++i)
+        EXPECT_FALSE(std::signbit(c[i])) << "n=" << n << " i=" << i;
+      ops->gemm_block(2, n, 0, &a, 0, 0, &b, 0, c.data(), n, false);
+      for (Scalar v : c) {
+        EXPECT_EQ(v, 0.0);
+        EXPECT_FALSE(std::signbit(v));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "nn/autograd.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <vector>
 
@@ -230,6 +232,18 @@ std::vector<OpCase> AllOpCases() {
                      return RowCrossEntropyWithLogits(p[0], target);
                    },
                    {{3, 4}}});
+  cases.push_back({"row_cross_entropy_sparse",
+                   [](const std::vector<Var>& p) {
+                     SparseRowTargets target;
+                     target.AppendEntry(1, 1.0);
+                     target.FinishRow();
+                     target.FinishRow();  // Empty row.
+                     target.AppendEntry(0, 0.25);
+                     target.AppendEntry(3, 0.75);
+                     target.FinishRow();
+                     return RowCrossEntropyWithLogits(p[0], target);
+                   },
+                   {{3, 4}}});
   cases.push_back({"bce_with_logits",
                    [](const std::vector<Var>& p) {
                      Tensor target(3, 3);
@@ -345,6 +359,131 @@ TEST(OpValueTest, SampledSoftmaxOverAllColumnsMatchesRowCrossEntropy) {
   Var a = SampledSoftmaxCrossEntropy(Var::Constant(logits), sparse);
   Var b = RowCrossEntropyWithLogits(Var::Constant(logits), dense);
   EXPECT_NEAR(a.item(), b.item(), 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// The one-node RowCrossEntropyWithLogits against the LogSoftmaxRows -> Mul
+// -> Sum -> Scale chain it replaced, which stays here as the reference:
+// loss bits and logits-gradient bits must match for dense and sparse
+// targets, empty rows, an upstream gradient != 1 and a gradient that
+// already holds values (a second Backward without ZeroGrad).
+// ---------------------------------------------------------------------------
+
+Var ReferenceRowCrossEntropy(const Var& logits, const Tensor& targets) {
+  Var log_p = LogSoftmaxRows(logits);
+  Var weighted = Mul(log_p, Var::Constant(targets));
+  return Scale(Sum(weighted), -1.0 / static_cast<Scalar>(targets.rows()));
+}
+
+bool SameBits(Scalar a, Scalar b) {
+  uint64_t ba, bb;
+  std::memcpy(&ba, &a, sizeof(ba));
+  std::memcpy(&bb, &b, sizeof(bb));
+  return ba == bb;
+}
+
+struct LossRun {
+  std::vector<Scalar> losses;
+  Tensor logits_grad;
+};
+
+/// Two forward/backward passes (no ZeroGrad in between) of
+///   Scale(loss(logits) + 1e-3 * KL(mu, logvar), 0.7),
+/// so the loss node sees an upstream gradient of 0.7 and the second pass
+/// accumulates onto a non-zero logits gradient.
+LossRun RunLoss(const Tensor& logits_value, const Tensor& mu_value,
+                const std::function<Var(const Var&)>& loss_fn) {
+  Var logits = Var::Param(logits_value);
+  Var mu = Var::Param(mu_value);
+  Var logvar = Var::Param(mu_value * 0.5);
+  LossRun run;
+  for (int pass = 0; pass < 2; ++pass) {
+    Var loss = loss_fn(logits);
+    Var total =
+        Scale(Add(loss, Scale(KlToStandardNormal(mu, logvar), 1e-3)), 0.7);
+    Backward(total);
+    run.losses.push_back(loss.item());
+    run.losses.push_back(total.item());
+  }
+  run.logits_grad = logits.grad();
+  return run;
+}
+
+void ExpectSameRuns(const LossRun& want, const LossRun& got,
+                    const char* what) {
+  ASSERT_EQ(want.losses.size(), got.losses.size());
+  for (size_t i = 0; i < want.losses.size(); ++i)
+    EXPECT_TRUE(SameBits(want.losses[i], got.losses[i]))
+        << what << " value " << i << ": " << want.losses[i] << " vs "
+        << got.losses[i];
+  ASSERT_TRUE(want.logits_grad.SameShape(got.logits_grad)) << what;
+  for (int64_t i = 0; i < want.logits_grad.size(); ++i)
+    EXPECT_TRUE(SameBits(want.logits_grad.data()[i],
+                         got.logits_grad.data()[i]))
+        << what << " grad[" << i << "]: " << want.logits_grad.data()[i]
+        << " vs " << got.logits_grad.data()[i];
+}
+
+TEST(RowCrossEntropyTest, FusedNodeMatchesTheFourNodeChainBitForBit) {
+  Rng rng = MakeRng();
+  const int rows = 9, cols = 37;
+  const Tensor logits = Tensor::Randn(rng, rows, cols, 2.0);
+  const Tensor mu = Tensor::Randn(rng, rows, 3);
+
+  // Dense: every target nonzero. Sparse: a few weighted entries per row,
+  // rows 2 and 6 empty. The sparse form is built in shuffled column order
+  // and sorted, as TGAE does.
+  Tensor dense(rows, cols);
+  for (int64_t i = 0; i < dense.size(); ++i)
+    dense.data()[i] = 0.01 + rng.Uniform(0.0, 1.0);
+  Tensor scattered(rows, cols);
+  SparseRowTargets sparse;
+  for (int r = 0; r < rows; ++r) {
+    if (r != 2 && r != 6) {
+      for (int c : {(5 * r + 11) % cols, r, (3 * r + 29) % cols}) {
+        if (scattered.at(r, c) != 0.0) continue;
+        const Scalar w = 1.0 / (1.0 + r + c);
+        scattered.at(r, c) = w;
+        sparse.AppendEntry(c, w);
+      }
+    }
+    sparse.FinishRow();
+  }
+  sparse.SortRowsByColumn();
+
+  for (const Tensor* targets : {&dense, &scattered}) {
+    const char* what = targets == &dense ? "dense" : "sparse";
+    const LossRun want = RunLoss(logits, mu, [&](const Var& l) {
+      return ReferenceRowCrossEntropy(l, *targets);
+    });
+    const LossRun got = RunLoss(logits, mu, [&](const Var& l) {
+      return RowCrossEntropyWithLogits(l, *targets);
+    });
+    ExpectSameRuns(want, got, what);
+  }
+  const LossRun want = RunLoss(logits, mu, [&](const Var& l) {
+    return ReferenceRowCrossEntropy(l, scattered);
+  });
+  const LossRun got = RunLoss(logits, mu, [&](const Var& l) {
+    return RowCrossEntropyWithLogits(l, sparse);
+  });
+  ExpectSameRuns(want, got, "sparse overload");
+}
+
+TEST(OpDeathTest, RowCrossEntropyRejectsUnsortedOrDuplicateColumns) {
+  Tensor logits(1, 4);
+  SparseRowTargets unsorted;
+  unsorted.AppendEntry(2, 0.5);
+  unsorted.AppendEntry(1, 0.5);
+  unsorted.FinishRow();
+  EXPECT_DEATH(RowCrossEntropyWithLogits(Var::Constant(logits), unsorted),
+               "CHECK failed");
+  SparseRowTargets duplicate;
+  duplicate.AppendEntry(1, 0.5);
+  duplicate.AppendEntry(1, 0.5);
+  duplicate.FinishRow();
+  EXPECT_DEATH(RowCrossEntropyWithLogits(Var::Constant(logits), duplicate),
+               "CHECK failed");
 }
 
 TEST(OpDeathTest, SampledSoftmaxRejectsShapeMismatch) {

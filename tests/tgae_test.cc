@@ -262,6 +262,41 @@ TEST(TgaeTest, EmptySupportFallbackEmitsNoSelfLoopsOrDuplicates) {
   }
 }
 
+TEST(TgaeTest, HubBudgetBeyondNMinusOneIsMetExactly) {
+  // Node 0 sends 9 edges at t = 0 to only 2 distinct neighbors in a
+  // 4-node graph: its budget exceeds n - 1 = 3. The support replay draws
+  // with replacement, so every one of the 9 edges must be generated; only
+  // the empty-support fallback, which draws distinct nodes, is capped.
+  graphs::TemporalGraph g(4, 2);
+  for (int r = 0; r < 6; ++r) g.AddEdge(0, 1, 0);
+  for (int r = 0; r < 3; ++r) g.AddEdge(0, 2, 0);
+  g.AddEdge(1, 2, 0);
+  g.AddEdge(2, 3, 1);
+  g.AddEdge(3, 0, 1);
+  g.Finalize();
+  for (bool sparse : {false, true}) {
+    TgaeConfig cfg;
+    cfg.epochs = 2;
+    cfg.batch_centers = 4;
+    cfg.sparse_decoder = sparse;
+    TgaeGenerator gen(cfg);
+    Rng rng(5);
+    gen.Fit(g, rng);
+    graphs::TemporalGraph out = gen.Generate(rng);
+    EXPECT_EQ(out.num_edges(), g.num_edges()) << "sparse=" << sparse;
+    EXPECT_EQ(out.EdgesPerTimestamp(), g.EdgesPerTimestamp())
+        << "sparse=" << sparse;
+    int hub_edges = 0;
+    for (const auto& e : out.edges()) {
+      if (e.u == 0 && e.t == 0) {
+        ++hub_edges;
+        EXPECT_TRUE(e.v == 1 || e.v == 2) << "off-support edge to " << e.v;
+      }
+    }
+    EXPECT_EQ(hub_edges, 9) << "sparse=" << sparse;
+  }
+}
+
 TEST(TgaeTest, PathSumParentsFallsBackToShallowerParent) {
   // Hand-built ego graph: node 1 is strictly layered under the center,
   // node 2 extends node 1's path, node 3 is reachable only through a
