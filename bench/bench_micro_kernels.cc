@@ -239,12 +239,10 @@ void BM_KernelExpRowSumScalarRef(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelExpRowSumScalarRef)->Arg(4096);
 
-/// The untied-decoder full-row decode, before and after the transpose
-/// panel: 64 decoded rows against an n-node decoder. StridedRef is the
-/// old inner product walking w.at(k, v) down column v (stride-n loads);
-/// Panel is DenseLogitsRow's k-major 4-column DotPanel4 layout. The
-/// panel is built once outside the timing loop, matching DecodePanel's
-/// cache-across-rows behavior in generation.
+/// The untied-decoder full-row decode: 64 decoded rows against an n-node
+/// decoder. StridedRef is the old inner product walking w.at(k, v) down
+/// column v (stride-n loads); Gemm is DenseLogitsRow's path, one 1-row
+/// nn::Gemm per decoded row plus the bias.
 void BM_DecodeUntiedStridedRef(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int d = 32;
@@ -270,7 +268,7 @@ void BM_DecodeUntiedStridedRef(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeUntiedStridedRef)->Arg(2048)->Arg(8192);
 
-void BM_DecodeUntiedPanel(benchmark::State& state) {
+void BM_DecodeUntiedGemm(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int d = 32;
   const int rows = 64;
@@ -278,20 +276,13 @@ void BM_DecodeUntiedPanel(benchmark::State& state) {
   nn::Tensor w = nn::Tensor::Randn(rng, d, n);
   nn::Tensor h = nn::Tensor::Randn(rng, rows, d);
   nn::Tensor bias = nn::Tensor::Randn(rng, 1, n);
-  const int blocks = (n + 3) / 4;
-  std::vector<nn::Scalar> panel(static_cast<size_t>(blocks) * d * 4, 0.0);
-  for (int k = 0; k < d; ++k)
-    for (int v = 0; v < n; ++v)
-      panel[static_cast<size_t>(v / 4) * d * 4 + static_cast<size_t>(k) * 4 +
-            (v % 4)] = w.at(k, v);
-  std::vector<nn::Scalar> out(static_cast<size_t>(blocks) * 4);
+  nn::Tensor hr(1, d);
+  nn::Tensor out(1, n);
   for (auto _ : state) {
     for (int r = 0; r < rows; ++r) {
-      const nn::Scalar* hr = h.row(r);
-      for (int v = 0; v < n; v += 4)
-        nn::kernels::DotPanel4(
-            hr, panel.data() + static_cast<size_t>(v / 4) * d * 4, d,
-            out.data() + v);
+      std::copy(h.row(r), h.row(r) + d, hr.data());
+      nn::Gemm(hr, nn::Trans::kNo, w, nn::Trans::kNo, out,
+               nn::GemmMode::kAssign);
       nn::kernels::AddRow(out.data(), bias.row(0), n);
       benchmark::DoNotOptimize(out.data());
     }
@@ -441,7 +432,7 @@ void RegisterSimdKernelBenches() {
       ->Arg(4096);
   benchmark::RegisterBenchmark("BM_KernelExpRowSum", BM_KernelExpRowSum)
       ->Arg(4096);
-  benchmark::RegisterBenchmark("BM_DecodeUntiedPanel", BM_DecodeUntiedPanel)
+  benchmark::RegisterBenchmark("BM_DecodeUntiedGemm", BM_DecodeUntiedGemm)
       ->Arg(2048)
       ->Arg(8192);
 }

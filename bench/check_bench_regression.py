@@ -33,8 +33,8 @@ BENCH_storage.json, BENCH_update.json). Two checks:
      - BM_KernelExpRowSum/4096 and BM_KernelRowMax/4096 >= 1.5x their
        ScalarRef replicas (the explicit-SIMD kernel-layer bar; only
        emitted when a SIMD backend is active), and
-     - BM_DecodeUntiedPanel/2048 >= 2x BM_DecodeUntiedStridedRef/2048
-       (the transpose-panel untied-decode bar).
+     - BM_DecodeUntiedGemm/2048 >= 2x BM_DecodeUntiedStridedRef/2048
+       (the untied-decode bar: one 1-row Gemm per decoded row).
 """
 
 import argparse
@@ -49,13 +49,13 @@ HARD_RATIO_GATES = [
     # delta batch must beat refitting on the full stream (measured 5x+ on
     # TIGGER; gated at 2x for cross-hardware headroom).
     ("BM_UpdateTigger", "BM_FullRefitTiggerRef", 2.0),
-    # SIMD kernel-layer bars: the dispatched AVX2/NEON variants vs the
-    # scalar reference loops. The dispatched benches only register when a
+    # SIMD kernel-layer bars: the dispatched SIMD table vs the scalar
+    # reference loops. The dispatched benches only register when a
     # SIMD backend is active, so forced-scalar runs skip these gates.
     ("BM_KernelExpRowSum/4096", "BM_KernelExpRowSumScalarRef/4096", 1.5),
     ("BM_KernelRowMax/4096", "BM_KernelRowMaxScalarRef/4096", 1.5),
-    # Transpose-panel untied decode vs the old stride-n column walk.
-    ("BM_DecodeUntiedPanel/2048", "BM_DecodeUntiedStridedRef/2048", 2.0),
+    # 1-row Gemm untied decode vs the old stride-n column walk.
+    ("BM_DecodeUntiedGemm/2048", "BM_DecodeUntiedStridedRef/2048", 2.0),
 ]
 
 

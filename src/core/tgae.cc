@@ -299,54 +299,29 @@ nn::SparseRowTargets TgaeGenerator::TargetRows(
   return targets;
 }
 
-const std::vector<nn::Scalar>& TgaeGenerator::DecodePanel(int d) const {
-  const int n = shape_.num_nodes;
-  const int blocks = (n + 3) / 4;
-  if (decode_panel_valid_) return decode_panel_;
-  decode_panel_.assign(static_cast<size_t>(blocks) * d * 4, 0.0);
-  if (config_.tie_decoder) {
-    // Tied decoder: column v of W_dec is row v of the embedding table.
-    const nn::Tensor& table = node_emb_->table().value();
-    for (int v = 0; v < n; ++v) {
-      const nn::Scalar* col = table.row(v);
-      nn::Scalar* block = decode_panel_.data() +
-                          static_cast<size_t>(v / 4) * d * 4 + (v % 4);
-      for (int k = 0; k < d; ++k) block[4 * k] = col[k];
-    }
-  } else {
-    const nn::Tensor& w = w_dec_.value();
-    for (int k = 0; k < d; ++k) {
-      const nn::Scalar* wk = w.row(k);
-      for (int v = 0; v < n; ++v)
-        decode_panel_[static_cast<size_t>(v / 4) * d * 4 +
-                      static_cast<size_t>(k) * 4 + (v % 4)] = wk[v];
-    }
-  }
-  decode_panel_valid_ = true;
-  return decode_panel_;
-}
-
 std::vector<nn::Scalar> TgaeGenerator::DenseLogitsRow(const nn::Tensor& rows,
                                                       int r) const {
-  const int n = shape_.num_nodes;
   const int d = rows.cols();
-  const nn::Scalar* h = rows.row(r);
-  const nn::Tensor& bias = b_dec_.value();
-  // One DotPanel4 call scores four columns from a contiguous k-major
-  // panel block: each output keeps its own ascending-k chain, so the
-  // logits stay bit-identical to the strided per-column loop — and to the
-  // MatMul columns of the dense decode (the sparse-vs-dense generation
-  // pin depends on it) — while the loads run contiguous and four chains
-  // overlap instead of one.
-  const std::vector<nn::Scalar>& panel = DecodePanel(d);
-  std::vector<nn::Scalar> out(static_cast<size_t>(4 * ((n + 3) / 4)), 0.0);
-  for (int v = 0; v < n; v += 4)
-    nn::kernels::DotPanel4(h,
-                           panel.data() + static_cast<size_t>(v / 4) * d * 4,
-                           d, out.data() + v);
-  out.resize(static_cast<size_t>(n));  // drop the zero-padded tail columns
-  nn::kernels::AddRow(out.data(), bias.row(0), n);
-  return out;
+  const nn::Tensor h(1, d, std::vector<nn::Scalar>(rows.row(r),
+                                                    rows.row(r) + d));
+  // Each output is one ascending-k chain, like the MatMul columns of the
+  // dense decode: the sparse-vs-dense generation pin depends on it. The
+  // tied decoder's W_dec is the transposed embedding table, so its logits
+  // are the column table . h^T: reading the table as stored spares Gemm
+  // a transposed n x d pack per call.
+  nn::Tensor logits;
+  if (config_.tie_decoder) {
+    logits = nn::Tensor(shape_.num_nodes, 1);
+    nn::Gemm(node_emb_->table().value(), nn::Trans::kNo, h, nn::Trans::kYes,
+             logits, nn::GemmMode::kAssign);
+  } else {
+    logits = nn::Tensor(1, shape_.num_nodes);
+    nn::Gemm(h, nn::Trans::kNo, w_dec_.value(), nn::Trans::kNo, logits,
+             nn::GemmMode::kAssign);
+  }
+  nn::kernels::AddRow(logits.data(), b_dec_.value().row(0), shape_.num_nodes);
+  return std::vector<nn::Scalar>(logits.data(),
+                                 logits.data() + shape_.num_nodes);
 }
 
 void TgaeGenerator::BuildSamplers() {
@@ -459,7 +434,6 @@ void TgaeGenerator::TrainEpochs(int epochs,
     opt.Step();
     last_epoch_loss_ = loss.item();
   }
-  decode_panel_valid_ = false;  // decoder weights moved; repack lazily
 }
 
 Status TgaeGenerator::Update(const graphs::TemporalGraph& delta, Rng& rng) {
@@ -549,7 +523,6 @@ Status TgaeGenerator::LoadState(std::istream& in) {
   // Values come from the archive; the init rng only shapes the modules.
   Rng init(0);
   BuildModel(init);
-  decode_panel_valid_ = false;
   return serialize::ReadParamsInto(reader, "params", params_);
 }
 

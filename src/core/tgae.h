@@ -186,19 +186,11 @@ class TgaeGenerator : public baselines::TemporalGraphGenerator {
       const std::vector<graphs::TemporalNodeRef>& row_nodes) const;
 
   /// Dense logits of one decoded row (b + rows.row(r) . W_dec), used by
-  /// the sparse generation path's empty-support fallback only. Matches the
-  /// dense decode bit for bit: the k-major decode panel keeps one
-  /// ascending-k accumulation chain per output column (kernels::DotPanel4
-  /// runs four such chains at once).
+  /// the sparse generation path's empty-support fallback only. One
+  /// nn::Gemm keeps one ascending-k chain per logit, so it matches the
+  /// dense decode bit for bit.
   std::vector<nn::Scalar> DenseLogitsRow(const nn::Tensor& rows,
                                          int r) const;
-
-  /// Lazily (re)packs the decoder weight into the k-major 4-column-block
-  /// panel DenseLogitsRow reads: panel[(block*d + k)*4 + j] holds column
-  /// 4*block+j of W_dec (or of the tied embedding table, transposed) at
-  /// depth k, with zero padding past n. Built on the generation (caller)
-  /// thread; invalidated whenever the decoder weights change.
-  const std::vector<nn::Scalar>& DecodePanel(int d) const;
 
   /// Rebuilds the ego/initial samplers over the owned support graph
   /// (shared by Fit and LoadState).
@@ -232,12 +224,6 @@ class TgaeGenerator : public baselines::TemporalGraphGenerator {
   nn::Var w_dec_;
   nn::Var b_dec_;
   std::vector<nn::Var> params_;  // All trainable parameters, fixed order.
-
-  /// Cached k-major decode panel (see DecodePanel). Mutable: it is a pure
-  /// memoization of the decoder weights, rebuilt on first use after every
-  /// train/load, and only touched from the single generation thread.
-  mutable std::vector<nn::Scalar> decode_panel_;
-  mutable bool decode_panel_valid_ = false;
 
   double last_epoch_loss_ = 0.0;
 };

@@ -18,24 +18,23 @@ namespace tgsim::nn::kernels {
 
 /// Row-level microkernels shared by the Tensor math, the autograd tape,
 /// the optimizers, and the generators' hand-rolled logit/softmax loops.
-/// The public entry points below dispatch through a per-ISA table resolved
-/// once at runtime (see simd.h); `kernels::scalar` holds the reference
-/// implementations every backend must match bit for bit. The determinism
+/// The public entry points below dispatch through a table resolved once at
+/// runtime (see simd.h); `kernels::scalar` holds the reference
+/// implementations the SIMD table must match bit for bit. The determinism
 /// contract:
 ///
 ///  - Sums keep a single strictly ascending-index, left-associated
 ///    accumulation chain per OUTPUT: FP addition is not associative, and
 ///    the contract pins outputs bit-identical to the serial reference at
 ///    any thread count and on any backend. SIMD variants may only
-///    vectorize across independent outputs (DotPanel4 runs four such
-///    chains at once, one per lane).
+///    vectorize across independent outputs, one chain per lane.
 ///  - GEMM (GemmBlock, under Tensor::MatMul and nn::Gemm) is that rule on
 ///    a matrix: output (i, j) is acc = +0.0, then acc += A(i,k) * B(k,j)
 ///    for ascending k, each product and sum separately rounded (no FMA),
 ///    and only then assigned to C or added once onto it. Register tiles
 ///    hold several such chains side by side; how outputs are tiled, and
 ///    which thread owns a tile, never touches a chain, so the result
-///    equals Dot, DotPanel4 and the naive triple loop bit for bit.
+///    equals Dot and the naive triple loop bit for bit.
 ///  - ExpRowSum is the one sanctioned fixed-shape reduction: four
 ///    accumulators fed from consecutive indices, combined ((a0+a1)+a2)+a3,
 ///    with an ascending scalar tail. The shape depends only on n, so the
@@ -61,8 +60,7 @@ namespace tgsim::nn::kernels {
 /// sparse/dense pin (a sparse-decode logit is a Dot, the dense decode a
 /// GEMM output) depends on that association. They bypass the dispatch
 /// table entirely so the compiler can keep inlining them into the
-/// generation hot loops. Batched throughput comes from DotPanel4 and
-/// GemmBlock instead.
+/// generation hot loops. Batched throughput comes from GemmBlock instead.
 
 namespace detail {
 
@@ -98,10 +96,10 @@ inline constexpr Scalar kExpCoeff[14] = {
 };
 
 /// exp(x) to ~1-2 ulp with every step an exact lane-parallel IEEE op.
-/// The two clamp lines mirror _mm256_max_pd(lo, x) / _mm256_min_pd(hi, x)
-/// operand order so +/-inf and out-of-range inputs take identical paths
-/// in scalar and vector code. Precondition: x is not NaN (the scalar
-/// int64 cast of NaN would be UB).
+/// The two clamp lines are max(lo, x) and min(hi, xs) with the operand
+/// order of the vector max/min, so +/-inf and out-of-range inputs take
+/// identical paths in scalar and vector code. Precondition: x is not NaN
+/// (the scalar int64 cast of NaN would be UB).
 inline Scalar ExpD(Scalar x) {
   Scalar xs = kExpLo > x ? kExpLo : x;
   xs = kExpHi < xs ? kExpHi : xs;
@@ -208,29 +206,6 @@ inline Scalar DotSum2(const Scalar* TGSIM_RESTRICT a,
   return s;
 }
 
-/// Four dot products against one k-major 4-column panel block:
-///   out4[j] = sum_k h[k] * panel[4*k + j],   j in 0..3,
-/// each out4[j] its own ascending-k left-associated chain — bit-identical
-/// to Dot(h, column j). Four independent chains per step is what breaks
-/// the add-latency bound the serial Dot is stuck at; the SIMD variants
-/// map chain j onto lane j.
-inline void DotPanel4(const Scalar* TGSIM_RESTRICT h,
-                      const Scalar* TGSIM_RESTRICT panel, int d,
-                      Scalar* TGSIM_RESTRICT out4) {
-  Scalar s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  for (int k = 0; k < d; ++k) {
-    const Scalar hk = h[k];
-    s0 += hk * panel[4 * k + 0];
-    s1 += hk * panel[4 * k + 1];
-    s2 += hk * panel[4 * k + 2];
-    s3 += hk * panel[4 * k + 3];
-  }
-  out4[0] = s0;
-  out4[1] = s1;
-  out4[2] = s2;
-  out4[3] = s3;
-}
-
 /// o[j] += a * b[j].
 inline void AxpyRow(Scalar a, const Scalar* TGSIM_RESTRICT b,
                     Scalar* TGSIM_RESTRICT o, int n) {
@@ -313,15 +288,6 @@ inline void MulAddRow(Scalar* TGSIM_RESTRICT dst,
                       const Scalar* TGSIM_RESTRICT a,
                       const Scalar* TGSIM_RESTRICT b, int n) {
   for (int i = 0; i < n; ++i) dst[i] = dst[i] + a[i] * b[i];
-}
-
-/// dst[i] = s * dst[i] + a * x[i] — the SGD momentum update
-/// (v = mu*v + 1.0*g) in one pass; with a == 1.0 the second product is
-/// exact, so this matches the old ScaleInPlace-then-Axpy sequence bit for
-/// bit.
-inline void ScaleAddRow(Scalar* TGSIM_RESTRICT dst, Scalar s,
-                        const Scalar* TGSIM_RESTRICT x, Scalar a, int n) {
-  for (int i = 0; i < n; ++i) dst[i] = s * dst[i] + a * x[i];
 }
 
 /// dst[i] = x[i] - s. In place allowed.
@@ -449,11 +415,6 @@ inline Scalar DotSum2(const Scalar* TGSIM_RESTRICT a,
   return scalar::DotSum2(a, b1, b2, n);
 }
 
-inline void DotPanel4(const Scalar* h, const Scalar* panel, int d,
-                      Scalar* out4) {
-  Ops().dot_panel4(h, panel, d, out4);
-}
-
 inline void AxpyRow(Scalar a, const Scalar* b, Scalar* o, int n) {
   Ops().axpy_row(a, b, o, n);
 }
@@ -476,11 +437,6 @@ inline void MulRow(Scalar* dst, const Scalar* x, int n) {
 
 inline void MulAddRow(Scalar* dst, const Scalar* a, const Scalar* b, int n) {
   Ops().mul_add_row(dst, a, b, n);
-}
-
-inline void ScaleAddRow(Scalar* dst, Scalar s, const Scalar* x, Scalar a,
-                        int n) {
-  Ops().scale_add_row(dst, s, x, a, n);
 }
 
 inline void ShiftRow(const Scalar* x, Scalar s, Scalar* dst, int n) {

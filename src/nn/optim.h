@@ -26,18 +26,6 @@ class Optimizer {
   std::vector<Var> params_;
 };
 
-/// Plain SGD with optional momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Var> params, Scalar lr, Scalar momentum = 0.0);
-  void Step() override;
-
- private:
-  Scalar lr_;
-  Scalar momentum_;
-  std::vector<Tensor> velocity_;
-};
-
 /// Adam (Kingma & Ba) — the optimizer used for TGAE and all learned
 /// baselines in this reproduction.
 class Adam : public Optimizer {

@@ -16,14 +16,12 @@ const KernelOps kScalarOps = {
     scalar::DivRow,
     scalar::Dot,
     scalar::DotSum2,
-    scalar::DotPanel4,
     scalar::AxpyRow,
     scalar::GemmBlock,
     scalar::AddRow,
     scalar::ScaleRow,
     scalar::MulRow,
     scalar::MulAddRow,
-    scalar::ScaleAddRow,
     scalar::ShiftRow,
     scalar::SigmoidRow,
     scalar::SigmoidBwdRow,
@@ -39,7 +37,7 @@ const KernelOps kScalarOps = {
 
 Backend g_active_backend = Backend::kScalar;
 
-#if !defined(TGSIM_FORCE_SCALAR_BUILD)
+#if defined(TGSIM_HAVE_SIMD_KERNELS)
 bool ForcedScalarByEnv() {
   const char* v = std::getenv("TGSIM_FORCE_SCALAR");
   if (v == nullptr || v[0] == '\0') return false;
@@ -56,19 +54,15 @@ std::atomic<const KernelOps*> g_ops{nullptr};
 const KernelOps* ResolveOps() {
   const KernelOps* ops = &kScalarOps;
   Backend backend = Backend::kScalar;
-#if defined(TGSIM_FORCE_SCALAR_BUILD)
-  // Compile-time forced scalar: the ISA TUs are not even in the build.
+#if defined(TGSIM_HAVE_SIMD_KERNELS)
+#if defined(__x86_64__)
+  const bool cpu_ok = __builtin_cpu_supports("avx2");
 #else
-  if (!ForcedScalarByEnv()) {
-#if defined(TGSIM_HAVE_AVX2_KERNELS)
-    if (__builtin_cpu_supports("avx2")) {
-      ops = GetAvx2Ops();
-      backend = Backend::kAvx2;
-    }
-#elif defined(TGSIM_HAVE_NEON_KERNELS)
-    ops = GetNeonOps();
-    backend = Backend::kNeon;
+  const bool cpu_ok = true;  // NEON is part of the aarch64 baseline
 #endif
+  if (cpu_ok && !ForcedScalarByEnv()) {
+    ops = GetSimdOps();
+    backend = Backend::kSimd;
   }
 #endif
   // Benign race: concurrent first calls resolve to the same table.
@@ -85,15 +79,9 @@ const KernelOps* OpsFor(Backend b) {
   switch (b) {
     case Backend::kScalar:
       return &kScalarOps;
-    case Backend::kAvx2:
-#if defined(TGSIM_HAVE_AVX2_KERNELS)
-      return GetAvx2Ops();
-#else
-      return nullptr;
-#endif
-    case Backend::kNeon:
-#if defined(TGSIM_HAVE_NEON_KERNELS)
-      return GetNeonOps();
+    case Backend::kSimd:
+#if defined(TGSIM_HAVE_SIMD_KERNELS)
+      return GetSimdOps();
 #else
       return nullptr;
 #endif
@@ -112,10 +100,12 @@ const char* BackendName(Backend b) {
   switch (b) {
     case Backend::kScalar:
       return "scalar";
-    case Backend::kAvx2:
+    case Backend::kSimd:
+#if defined(__x86_64__)
       return "avx2";
-    case Backend::kNeon:
+#else
       return "neon";
+#endif
   }
   return "unknown";
 }

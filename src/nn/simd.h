@@ -13,13 +13,12 @@ namespace tgsim::nn::kernels {
 /// the callers can produce (see kernels.h for the contract). Selection
 /// happens once, lazily, on first kernel call:
 ///
-///   1. TGSIM_FORCE_SCALAR_BUILD compiled in, or the TGSIM_FORCE_SCALAR
+///   1. Built with -DTGSIM_FORCE_SCALAR=ON, or the TGSIM_FORCE_SCALAR
 ///      environment variable set to anything but "0"/"" -> kScalar.
-///   2. x86-64 with AVX2 reported by the CPU and the AVX2 TU compiled in
-///      -> kAvx2.
-///   3. aarch64 with the NEON TU compiled in -> kNeon.
-///   4. Otherwise -> kScalar.
-enum class Backend { kScalar = 0, kAvx2 = 1, kNeon = 2 };
+///   2. The SIMD table compiled in (x86-64 with AVX2 reported by the CPU,
+///      or aarch64) -> kSimd.
+///   3. Otherwise -> kScalar.
+enum class Backend { kScalar = 0, kSimd = 1 };
 
 struct KernelOps {
   Scalar (*row_max)(const Scalar* x, int n);
@@ -32,8 +31,6 @@ struct KernelOps {
   Scalar (*dot)(const Scalar* a, const Scalar* b, int n);
   Scalar (*dot_sum2)(const Scalar* a, const Scalar* b1, const Scalar* b2,
                      int n);
-  void (*dot_panel4)(const Scalar* h, const Scalar* panel, int d,
-                     Scalar* out4);
   void (*axpy_row)(Scalar a, const Scalar* b, Scalar* o, int n);
   void (*gemm_block)(int m, int n, int k, const Scalar* a, int64_t a_rs,
                      int64_t a_cs, const Scalar* b, int64_t ldb, Scalar* c,
@@ -42,8 +39,6 @@ struct KernelOps {
   void (*scale_row)(Scalar* x, Scalar s, int n);
   void (*mul_row)(Scalar* dst, const Scalar* x, int n);
   void (*mul_add_row)(Scalar* dst, const Scalar* a, const Scalar* b, int n);
-  void (*scale_add_row)(Scalar* dst, Scalar s, const Scalar* x, Scalar a,
-                        int n);
   void (*shift_row)(const Scalar* x, Scalar s, Scalar* dst, int n);
   void (*sigmoid_row)(const Scalar* x, Scalar* dst, int n);
   void (*sigmoid_bwd_row)(const Scalar* go, const Scalar* y, Scalar* gi,
@@ -90,7 +85,8 @@ Backend ActiveBackend();
 /// True if the given backend's TU is compiled into this binary.
 bool BackendCompiledIn(Backend b);
 
-/// "scalar" / "avx2" / "neon".
+/// "scalar", or for kSimd the ISA the table is compiled for: "avx2" on
+/// x86-64, "neon" on aarch64.
 const char* BackendName(Backend b);
 
 /// Test hook: pin the dispatch table to a backend (must be compiled in).
@@ -100,11 +96,8 @@ const char* BackendName(Backend b);
 Backend SetBackendForTest(Backend b);
 
 const KernelOps* GetScalarOps();
-#if defined(TGSIM_HAVE_AVX2_KERNELS)
-const KernelOps* GetAvx2Ops();
-#endif
-#if defined(TGSIM_HAVE_NEON_KERNELS)
-const KernelOps* GetNeonOps();
+#if defined(TGSIM_HAVE_SIMD_KERNELS)
+const KernelOps* GetSimdOps();
 #endif
 
 }  // namespace tgsim::nn::kernels

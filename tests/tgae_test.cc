@@ -19,6 +19,18 @@ graphs::TemporalGraph Observed() {
   return *kGraph;
 }
 
+/// Observed() plus eight nodes that only ever interact with themselves.
+graphs::TemporalGraph ObservedWithSelfLoopNodes() {
+  const graphs::TemporalGraph base = Observed();
+  graphs::TemporalGraph g(base.num_nodes() + 8, base.num_timestamps());
+  for (const auto& e : base.edges()) g.AddEdge(e.u, e.v, e.t);
+  for (int u = base.num_nodes(); u < g.num_nodes(); ++u)
+    for (int t = 0; t < g.num_timestamps(); ++t)
+      for (int r = 0; r < 3; ++r) g.AddEdge(u, u, t);
+  g.Finalize();
+  return g;
+}
+
 TgaeConfig FastConfig() {
   TgaeConfig cfg;
   cfg.epochs = 6;
@@ -177,28 +189,35 @@ TEST(TgaeTest, SparseAndDenseGenerationDrawIdenticalEdges) {
   // those columns carry the exact values of the dense decode and the
   // categorical is normalized on the support in both paths — so with the
   // same weights and the same seed the drawn edge lists must be identical.
-  graphs::TemporalGraph observed = Observed();
-  TgaeConfig dense_cfg = FastConfig();
-  TgaeGenerator dense(dense_cfg);
-  Rng rd(17);
-  dense.Fit(observed, rd);
-  std::stringstream state;
-  ASSERT_TRUE(dense.SaveState(state).ok());
+  // The self-loop nodes have an empty support, so the sparse path rebuilds
+  // their full logit rows (a 1-row Gemm against the decoder), which must
+  // match the dense decode's rows for the tied and the untied decoder.
+  const graphs::TemporalGraph observed = ObservedWithSelfLoopNodes();
+  for (bool tied : {true, false}) {
+    TgaeConfig dense_cfg = FastConfig();
+    dense_cfg.tie_decoder = tied;
+    TgaeGenerator dense(dense_cfg);
+    Rng rd(17);
+    dense.Fit(observed, rd);
+    std::stringstream state;
+    ASSERT_TRUE(dense.SaveState(state).ok());
 
-  // The sparse model takes the dense model's trained weights; LoadState
-  // builds its parameter structures from its own configuration.
-  TgaeConfig sparse_cfg = dense_cfg;
-  sparse_cfg.sparse_decoder = true;
-  TgaeGenerator sparse(sparse_cfg);
-  ASSERT_TRUE(sparse.LoadState(state).ok());
+    // The sparse model takes the dense model's trained weights; LoadState
+    // builds its parameter structures from its own configuration.
+    TgaeConfig sparse_cfg = dense_cfg;
+    sparse_cfg.sparse_decoder = true;
+    TgaeGenerator sparse(sparse_cfg);
+    ASSERT_TRUE(sparse.LoadState(state).ok());
 
-  Rng g1(99);
-  Rng g2(99);
-  graphs::TemporalGraph a = dense.Generate(g1);
-  graphs::TemporalGraph b = sparse.Generate(g2);
-  ASSERT_EQ(a.num_edges(), b.num_edges());
-  for (size_t i = 0; i < a.edges().size(); ++i)
-    EXPECT_TRUE(a.edges()[i] == b.edges()[i]) << "edge " << i;
+    Rng g1(99);
+    Rng g2(99);
+    graphs::TemporalGraph a = dense.Generate(g1);
+    graphs::TemporalGraph b = sparse.Generate(g2);
+    ASSERT_EQ(a.num_edges(), b.num_edges());
+    for (size_t i = 0; i < a.edges().size(); ++i)
+      EXPECT_TRUE(a.edges()[i] == b.edges()[i])
+          << "edge " << i << " tied=" << tied;
+  }
 }
 
 TEST(TgaeTest, LoadStateRejectsAModelOfAnotherConfiguration) {
