@@ -110,8 +110,6 @@ Status DymondGenerator::SaveState(std::ostream& out) const {
   writer.WriteIntVector("wedges", wedges);
   writer.WriteIntVector("singles", singles);
   writer.WriteDoubleVector("node_activity", node_activity_);
-  // Ship the fitted alias table so LoadState skips the O(n) rebuild.
-  serialize::WriteAliasTable(writer, "activity", activity_alias_);
   return writer.Finish();
 }
 
@@ -175,20 +173,9 @@ Status DymondGenerator::LoadState(std::istream& in) {
     mix_[t].singles = singles.value()[t];
   }
   node_activity_ = std::move(activity).value();
-  if (reader.HasField("motifs", "activity_prob")) {
-    Result<sampling::AliasTable> table =
-        serialize::ReadAliasTable(reader, "motifs", "activity");
-    if (!table.ok()) return table.status();
-    if (table.value().size() != node_activity_.size())
-      return Status::InvalidArgument(
-          "corrupt archive: DYMOND activity alias table disagrees with "
-          "node_activity");
-    activity_alias_ = std::move(table).value();
-  } else {
-    // Pre-alias artifact: rebuild from the weights (bit-identical — the
-    // alias build is deterministic and the weights round-trip exactly).
-    RebuildActivitySampler();
-  }
+  // The alias build is deterministic and the weights round-trip exactly,
+  // so the rebuilt table draws bit-identically to the fitted one.
+  RebuildActivitySampler();
   return Status::Ok();
 }
 

@@ -133,7 +133,7 @@ Status SbmGnnGenerator::LoadState(std::istream& in) {
 
 Status SbmGnnGenerator::LoadState(std::istream& in,
                                   const std::string& path) {
-  return LoadScoreState(shape_, store_, in, path, config_.score_topk);
+  return LoadScoreState(shape_, store_, in, path);
 }
 
 int64_t SbmGnnGenerator::ResidentStateBytes() const {

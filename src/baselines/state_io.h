@@ -100,17 +100,13 @@ Status SaveScoreState(const ObservedShape& shape,
                       const storage::ScoreStore& store, int64_t score_topk,
                       std::ostream& out, const std::string& method);
 
-/// Restores the state written by SaveScoreState — and, for backward
-/// compatibility, pre-sparse archives holding dense "scores" tensors,
-/// which are compacted with `legacy_topk` (the generator config's
-/// score_topk) on the way in. `path` names the file `in` reads from; with
-/// a block-format archive and a non-empty path the blocks stay on disk
-/// and are mmap'd per snapshot (the out-of-core path), while an empty
-/// path falls back to buffering the payload in memory. All structural
-/// problems are Status errors, never crashes.
+/// Restores the state written by SaveScoreState. `path` names the file
+/// `in` reads from; with a block-format archive and a non-empty path the
+/// blocks stay on disk and are mmap'd per snapshot (the out-of-core
+/// path), while an empty path falls back to buffering the payload in
+/// memory. All structural problems are Status errors, never crashes.
 Status LoadScoreState(ObservedShape& shape, storage::ScoreStore& store,
-                      std::istream& in, const std::string& path,
-                      int64_t legacy_topk);
+                      std::istream& in, const std::string& path);
 
 /// Shared Fit() body of the score-matrix methods: trains `fit_snapshot`
 /// on each timestamp's edges (skipping edge-free snapshots) and fills

@@ -248,8 +248,6 @@ Status TiggerGenerator::SaveState(std::ostream& out) const {
   writer.WriteIntVector("node", nodes);
   writer.WriteIntVector("time", times);
   writer.WriteDoubleVector("weight", starts_->weights());
-  // Ship the fitted alias table so LoadState skips the O(n) rebuild.
-  serialize::WriteAliasTable(writer, "starts", starts_->alias());
   writer.BeginSection("params");
   serialize::WriteParams(writer, CollectParams());
   return writer.Finish();
@@ -280,21 +278,26 @@ Status TiggerGenerator::LoadState(std::istream& in) {
   double total_weight = 0.0;
   for (size_t i = 0; i < nodes.value().size(); ++i) {
     if (nodes.value()[i] < 0 || nodes.value()[i] >= shape.num_nodes ||
-        times.value()[i] < 0 || times.value()[i] >= shape.num_timestamps ||
-        weights.value()[i] < 0.0)
+        times.value()[i] < 0 || times.value()[i] >= shape.num_timestamps)
       return Status::InvalidArgument(
           "corrupt archive: TIGGER start occurrence " + std::to_string(i) +
           " is out of range");
+    if (!std::isfinite(weights.value()[i]) || weights.value()[i] < 0.0)
+      return Status::InvalidArgument(
+          "corrupt archive: TIGGER start weight " + std::to_string(i) +
+          " must be finite and >= 0");
     total_weight += weights.value()[i];
     occurrences.push_back(
         {static_cast<graphs::NodeId>(nodes.value()[i]),
          static_cast<graphs::Timestamp>(times.value()[i])});
   }
   // Degree-proportional sampling needs positive mass; zero-mass data
-  // would CHECK-abort inside Sample instead of failing the load.
-  if (!(total_weight > 0.0))
+  // would CHECK-abort inside Sample instead of failing the load, and a
+  // mass that overflows to inf would flatten the alias table.
+  if (!(total_weight > 0.0) || !std::isfinite(total_weight))
     return Status::InvalidArgument(
-        "corrupt archive: TIGGER start distribution has no weight mass");
+        "corrupt archive: TIGGER start distribution mass must be finite "
+        "and > 0");
 
   shape_ = std::move(shape);
   // Values come from the archive; the init rng only shapes the structures.
@@ -303,23 +306,10 @@ Status TiggerGenerator::LoadState(std::istream& in) {
   std::vector<nn::Var> params = CollectParams();
   s = serialize::ReadParamsInto(reader, "params", params);
   if (!s.ok()) return s;
-  if (reader.HasField("starts", "starts_prob")) {
-    Result<sampling::AliasTable> table =
-        serialize::ReadAliasTable(reader, "starts", "starts");
-    if (!table.ok()) return table.status();
-    if (table.value().size() != occurrences.size())
-      return Status::InvalidArgument(
-          "corrupt archive: TIGGER starts alias table disagrees with the "
-          "occurrence count");
-    starts_ = std::make_unique<graphs::InitialNodeSampler>(
-        std::move(occurrences), std::move(weights).value(),
-        std::move(table).value());
-  } else {
-    // Pre-alias artifact: rebuild from the weights (bit-identical — the
-    // alias build is deterministic and the weights round-trip exactly).
-    starts_ = std::make_unique<graphs::InitialNodeSampler>(
-        std::move(occurrences), std::move(weights).value());
-  }
+  // The alias build is deterministic and the weights round-trip exactly,
+  // so the rebuilt start sampler draws bit-identically to the fitted one.
+  starts_ = std::make_unique<graphs::InitialNodeSampler>(
+      std::move(occurrences), std::move(weights).value());
   return Status::Ok();
 }
 

@@ -86,17 +86,6 @@ InitialNodeSampler::InitialNodeSampler(std::vector<TemporalNodeRef> occurrences,
     alias_ = sampling::AliasTable(weights_);
 }
 
-InitialNodeSampler::InitialNodeSampler(std::vector<TemporalNodeRef> occurrences,
-                                       std::vector<double> weights,
-                                       sampling::AliasTable table)
-    : uniform_(false),
-      occurrences_(std::move(occurrences)),
-      weights_(std::move(weights)),
-      alias_(std::move(table)) {
-  TGSIM_CHECK_EQ(occurrences_.size(), weights_.size());
-  TGSIM_CHECK_EQ(alias_.size(), weights_.size());
-}
-
 InitialNodeSampler::InitialNodeSampler(const TemporalGraph* graph,
                                        int time_window, bool uniform)
     : uniform_(uniform) {

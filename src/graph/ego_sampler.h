@@ -86,13 +86,6 @@ class InitialNodeSampler {
   InitialNodeSampler(std::vector<TemporalNodeRef> occurrences,
                      std::vector<double> weights, bool uniform = false);
 
-  /// Like the data constructor, but adopts an alias table restored from an
-  /// artifact (serialize::ReadAliasTable) instead of rebuilding it. The
-  /// table's size must match the occurrence count.
-  InitialNodeSampler(std::vector<TemporalNodeRef> occurrences,
-                     std::vector<double> weights,
-                     sampling::AliasTable table);
-
   /// Draws n_s temporal nodes (with replacement across draws).
   std::vector<TemporalNodeRef> Sample(int n_s, Rng& rng) const;
 
@@ -105,7 +98,8 @@ class InitialNodeSampler {
   const std::vector<double>& weights() const { return weights_; }
 
   /// The alias table behind degree-weighted draws (empty when `uniform`),
-  /// exposed so fitted generators can serialize it with the artifact.
+  /// exposed so fitted generators can count its bytes. It is derived from
+  /// `weights()`, so artifacts store only the weights.
   const sampling::AliasTable& alias() const { return alias_; }
 
  private:

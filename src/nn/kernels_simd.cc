@@ -8,6 +8,12 @@
 // scalar counterpart lane for lane (see kernels.h for the contract), and
 // the per-element kernels run their scalar tails through the very same
 // expression as their four-lane bodies.
+//
+// This file never calls a header-inline kernel (scalar:: or detail::).
+// Any it called could be emitted here as a weak definition compiled with
+// -mavx2, and the linker may keep that copy for every caller, the scalar
+// table and TGSIM_FORCE_SCALAR=1 included. Scalar fallbacks go through
+// GetScalarOps(), whose kernels simd.cc compiles at the baseline ISA.
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -69,7 +75,9 @@ inline V Exp(V x) {
   const I64 e2 = __builtin_convertvector(k2 + 1023, I64) << 52;
   return (p * std::bit_cast<V>(e1)) * std::bit_cast<V>(e2);
 }
-inline Scalar Exp(Scalar x) { return detail::ExpD(x); }
+/// Scalar tails take lane 0 of the vector path, which equals
+/// detail::ExpD bit for bit (calling ExpD would emit it here; see top).
+inline Scalar Exp(Scalar x) { return Exp(Splat(x))[0]; }
 
 inline V Sqrt(V x) {
   return V{std::sqrt(x[0]), std::sqrt(x[1]), std::sqrt(x[2]), std::sqrt(x[3])};
@@ -101,7 +109,7 @@ Scalar RowMaxSimd(const Scalar* x, int n) {
   // trailing +0.0), so unlike sums it may be reduced in any shape: four
   // independent accumulator chains break the max latency chain that
   // would otherwise cap throughput at one vector per max latency.
-  if (n < 8) return scalar::RowMax(x, n);
+  if (n < 8) return GetScalarOps()->row_max(x, n);
   V a0 = Load<V>(x);
   V a1 = a0, a2 = a0, a3 = a0;
   int i = 4;
@@ -209,8 +217,8 @@ void GemmBlockSimd(int m, int n, int k, const Scalar* a, int64_t a_rs,
                          accumulate);
   }
   if (n4 < n)
-    scalar::GemmBlock(m, n - n4, k, a, a_rs, a_cs, b + n4, ldb, c + n4, ldc,
-                      accumulate);
+    GetScalarOps()->gemm_block(m, n - n4, k, a, a_rs, a_cs, b + n4, ldb,
+                               c + n4, ldc, accumulate);
 }
 
 void AddRowSimd(Scalar* dst, const Scalar* x, int n) {
@@ -302,13 +310,24 @@ void AdamRowSimd(Scalar* x, Scalar* m, Scalar* v, const Scalar* g,
   });
 }
 
+// Dot and DotSum2 are the serial chain in every backend (see kernels.h),
+// so this table reuses the scalar table's entries.
+Scalar DotScalar(const Scalar* a, const Scalar* b, int n) {
+  return GetScalarOps()->dot(a, b, n);
+}
+
+Scalar DotSum2Scalar(const Scalar* a, const Scalar* b1, const Scalar* b2,
+                     int n) {
+  return GetScalarOps()->dot_sum2(a, b1, b2, n);
+}
+
 const KernelOps kSimdOps = {
     RowMaxSimd,
     ExpRowSumSimd,
     ExpRowSimd,
     DivRowSimd,
-    scalar::Dot,      // serial chain in every backend (see kernels.h)
-    scalar::DotSum2,  // serial chain in every backend
+    DotScalar,
+    DotSum2Scalar,
     AxpyRowSimd,
     GemmBlockSimd,
     AddRowSimd,

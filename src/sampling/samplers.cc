@@ -1,8 +1,5 @@
 #include "sampling/samplers.h"
 
-#include <string>
-#include <utility>
-
 namespace tgsim::sampling {
 
 AliasTable::AliasTable(std::span<const double> weights) {
@@ -59,31 +56,6 @@ AliasTable::AliasTable(std::span<const double> weights) {
       alias_[s] = static_cast<int64_t>(last_positive);
     }
   }
-}
-
-Result<AliasTable> AliasTable::FromParts(std::vector<double> prob,
-                                         std::vector<int64_t> alias) {
-  if (prob.size() != alias.size()) {
-    return Status::InvalidArgument(
-        "alias table parts disagree: " + std::to_string(prob.size()) +
-        " probabilities vs " + std::to_string(alias.size()) + " aliases");
-  }
-  const int64_t n = static_cast<int64_t>(prob.size());
-  for (size_t i = 0; i < prob.size(); ++i) {
-    if (!(prob[i] >= 0.0 && prob[i] <= 1.0)) {
-      return Status::InvalidArgument(
-          "alias table probability out of [0, 1] at slot " +
-          std::to_string(i));
-    }
-    if (alias[i] < 0 || alias[i] >= n) {
-      return Status::InvalidArgument("alias index out of range at slot " +
-                                     std::to_string(i));
-    }
-  }
-  AliasTable table;
-  table.prob_ = std::move(prob);
-  table.alias_ = std::move(alias);
-  return table;
 }
 
 void TreeSampler::Assign(std::span<const double> weights) {

@@ -7,7 +7,6 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "common/status.h"
 
 namespace tgsim::sampling {
 
@@ -19,7 +18,9 @@ namespace tgsim::sampling {
 /// coin), independent of n, and the table itself is a pure deterministic
 /// function of the input weights: the same weights always produce the same
 /// `prob()`/`alias()` arrays, so a table rebuilt from serialized weights
-/// draws bit-identically to the original.
+/// draws bit-identically to the original. That rebuild is the only way a
+/// fitted generator restores a table on load: artifacts store the
+/// weights, never the table derived from them.
 ///
 /// Zero-weight entries are never returned: their slot probability is
 /// exactly 0 and their alias points at a positive-weight entry.
@@ -32,13 +33,6 @@ class AliasTable {
   /// unless `weights` is empty (which yields an empty table).
   explicit AliasTable(std::span<const double> weights);
 
-  /// Reassembles a table from previously extracted `prob()`/`alias()`
-  /// arrays — the artifact-load path that skips the O(n) rebuild. Returns
-  /// InvalidArgument on mismatched sizes, probabilities outside [0, 1], or
-  /// alias indices outside [0, n).
-  static Result<AliasTable> FromParts(std::vector<double> prob,
-                                      std::vector<int64_t> alias);
-
   size_t size() const { return prob_.size(); }
   bool empty() const { return prob_.empty(); }
 
@@ -50,7 +44,7 @@ class AliasTable {
     return rng.Uniform() < prob_[i] ? i : static_cast<size_t>(alias_[i]);
   }
 
-  /// Slot acceptance probabilities / alias targets, for serialization.
+  /// Slot acceptance probabilities / alias targets.
   const std::vector<double>& prob() const { return prob_; }
   const std::vector<int64_t>& alias() const { return alias_; }
 

@@ -260,15 +260,6 @@ Result<ArchiveReader> ArchiveReader::Parse(std::istream& in) {
       "truncated archive: missing 'end' terminator");
 }
 
-bool ArchiveReader::HasSection(const std::string& section) const {
-  return sections_.count(section) != 0;
-}
-
-bool ArchiveReader::HasField(const std::string& section,
-                             const std::string& name) const {
-  return Find(section, name) != nullptr;
-}
-
 std::vector<std::string> ArchiveReader::SectionNames() const {
   return section_order_;
 }
@@ -370,25 +361,6 @@ Status ArchiveReader::ReadTensorInto(const std::string& section,
   for (int64_t i = 0; i < dst.size(); ++i)
     dst.data()[i] = f->dv[static_cast<size_t>(i)];
   return Status::Ok();
-}
-
-void WriteAliasTable(ArchiveWriter& writer, const std::string& prefix,
-                     const sampling::AliasTable& table) {
-  writer.WriteDoubleVector(prefix + "_prob", table.prob());
-  writer.WriteIntVector(prefix + "_alias", table.alias());
-}
-
-Result<sampling::AliasTable> ReadAliasTable(const ArchiveReader& reader,
-                                            const std::string& section,
-                                            const std::string& prefix) {
-  Result<std::vector<double>> prob =
-      reader.GetDoubleVector(section, prefix + "_prob");
-  if (!prob.ok()) return prob.status();
-  Result<std::vector<int64_t>> alias =
-      reader.GetIntVector(section, prefix + "_alias");
-  if (!alias.ok()) return alias.status();
-  return sampling::AliasTable::FromParts(std::move(prob).value(),
-                                         std::move(alias).value());
 }
 
 void WriteParams(ArchiveWriter& writer, const std::vector<nn::Var>& params) {

@@ -12,7 +12,6 @@
 #include "common/status.h"
 #include "nn/autograd.h"
 #include "nn/tensor.h"
-#include "sampling/samplers.h"
 
 /// Model-artifact serialization (serialize tier; see ROADMAP layering:
 /// common -> ... -> nn -> serialize -> baselines -> core). The sectioned
@@ -25,7 +24,9 @@ namespace tgsim::serialize {
 /// Version written into (and accepted from) the archive header. Bump it
 /// whenever a field's meaning or encoding changes incompatibly; readers
 /// reject newer versions with an actionable message instead of
-/// misinterpreting bytes.
+/// misinterpreting bytes. A reader ignores every field it does not look
+/// up, so adding a field a reader may skip, or dropping one that is
+/// derived from other fields, needs no bump.
 inline constexpr int kArchiveFormatVersion = 1;
 
 /// Streams a versioned, sectioned, line-oriented text archive:
@@ -98,8 +99,6 @@ class ArchiveReader {
  public:
   static Result<ArchiveReader> Parse(std::istream& in);
 
-  bool HasSection(const std::string& section) const;
-  bool HasField(const std::string& section, const std::string& name) const;
   std::vector<std::string> SectionNames() const;
 
   /// Typed getters: NotFound for a missing section/field, InvalidArgument
@@ -144,24 +143,6 @@ class ArchiveReader {
   std::vector<std::string> section_order_;
   std::map<std::string, std::map<std::string, Field>> sections_;
 };
-
-/// Writes an alias table's slot arrays as two vector fields of the
-/// archive's current section (`<prefix>_prob` / `<prefix>_alias`), so a
-/// fitted generator's fixed sampling distribution ships inside the
-/// artifact and LoadState can skip the O(n) rebuild. Pair with
-/// ReadAliasTable.
-void WriteAliasTable(ArchiveWriter& writer, const std::string& prefix,
-                     const sampling::AliasTable& table);
-
-/// Reassembles an alias table written by WriteAliasTable. NotFound when
-/// the fields are absent (older artifacts — callers fall back to
-/// rebuilding from the serialized weights), InvalidArgument on corrupt
-/// slot data. Because the alias build is deterministic and the archive
-/// round-trips doubles exactly, a loaded table draws bit-identically to
-/// one rebuilt from the weights.
-Result<sampling::AliasTable> ReadAliasTable(const ArchiveReader& reader,
-                                            const std::string& section,
-                                            const std::string& prefix);
 
 /// Writes a parameter set as consecutive tensor fields (`count`, `p0`,
 /// `p1`, ...) of the archive's current section. Pair with ReadParamsInto.

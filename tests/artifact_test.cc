@@ -232,25 +232,38 @@ TEST(ArtifactErrorTest, LoadTruncatedArtifactIsAnErrorNotACrash) {
   std::filesystem::remove(path);
 }
 
-/// Saves a fitted DYMOND artifact, replaces the first value of the vector
-/// field `field` with `value`, and returns the status of loading it.
-Status LoadDymondWithEditedField(const std::string& field,
-                                 const std::string& value) {
-  auto gen = std::move(MakeGenerator("DYMOND")).value();
+/// Fits `method` on a small DBLP mimic, saves it as an artifact at `path`
+/// and returns the fitted generator.
+std::unique_ptr<baselines::TemporalGraphGenerator> FitAndSave(
+    const std::string& method, const config::ParamMap& params,
+    const std::string& path) {
+  auto gen = std::move(MakeGenerator(method, params)).value();
   {
     graphs::TemporalGraph observed =
         datasets::MakeMimicByName("DBLP", 0.03, 5);
     Rng rng(3);
     gen->Fit(observed, rng);
   }
-  const std::string path = ArtifactPath("dymond_edited_" + field);
-  EXPECT_TRUE(SaveArtifact(*gen, "DYMOND", {}, path).ok());
-  std::string text;
-  {
-    std::ifstream in(path);
-    text.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
-  }
+  EXPECT_TRUE(SaveArtifact(*gen, method, params, path).ok());
+  return gen;
+}
+
+std::string ReadText(const std::string& path) {
+  std::ifstream in(path);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Saves a fitted `method` artifact, replaces the first value of the
+/// vector field `field` with `value`, and returns the status of loading
+/// it.
+Status LoadWithEditedField(const std::string& method,
+                           const config::ParamMap& params,
+                           const std::string& field,
+                           const std::string& value) {
+  const std::string path = ArtifactPath(method + "_edited_" + field);
+  FitAndSave(method, params, path);
+  std::string text = ReadText(path);
   // Vector fields are written as `<kind> <name> <count> v0 v1 ...`.
   const size_t line = text.find(" " + field + " ");
   if (line == std::string::npos) return Status::NotFound("no field " + field);
@@ -261,6 +274,17 @@ Status LoadDymondWithEditedField(const std::string& field,
   Status s = LoadArtifact(path).status();
   std::filesystem::remove(path);
   return s;
+}
+
+Status LoadDymondWithEditedField(const std::string& field,
+                                 const std::string& value) {
+  return LoadWithEditedField("DYMOND", {}, field, value);
+}
+
+config::ParamMap FastPreset() {
+  config::ParamMap params;
+  params.Override("preset", "fast");
+  return params;
 }
 
 TEST(ArtifactErrorTest, EditedDymondMotifCountIsRejectedBeforeGenerating) {
@@ -282,6 +306,65 @@ TEST(ArtifactErrorTest, DymondActivityMustBeFiniteAndPositive) {
     EXPECT_NE(s.message().find("node activity"), std::string::npos)
         << weight << ": " << s.ToString();
   }
+}
+
+TEST(ArtifactErrorTest, TiggerStartWeightsMustBeFiniteAndNonNegative) {
+  // The start sampler's alias table is rebuilt from these weights, so an
+  // inf weight would flatten it instead of failing the load.
+  for (const char* weight : {"inf", "nan", "-1"}) {
+    Status s = LoadWithEditedField("TIGGER", FastPreset(), "weight", weight);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument)
+        << weight << ": " << s.ToString();
+    EXPECT_NE(s.message().find("start weight"), std::string::npos)
+        << weight << ": " << s.ToString();
+  }
+}
+
+/// Artifacts written before alias tables were derived on load also carry
+/// the table itself, as `<prefix>_prob` / `<prefix>_alias` right after
+/// its weights. Loading must ignore those fields: here they hold a valid
+/// but different table (every slot keeps its own index, so draws would be
+/// uniform), and generation must still match the fitted original.
+void ExpectStoredAliasTableIsIgnored(const std::string& method,
+                                     const config::ParamMap& params,
+                                     const std::string& weights_field,
+                                     const std::string& prefix) {
+  const std::string path = ArtifactPath(method + "_stored_alias");
+  auto fitted = FitAndSave(method, params, path);
+  std::string text = ReadText(path);
+  ASSERT_EQ(text.find(prefix + "_prob"), std::string::npos)
+      << "derived alias table is still written";
+  const size_t line = text.find(" " + weights_field + " ");
+  ASSERT_NE(line, std::string::npos);
+  const size_t count_at = line + weights_field.size() + 2;
+  const int64_t n = std::stoll(text.substr(count_at, 20));
+  ASSERT_GT(n, 1);
+  std::string prob = "vf64 " + prefix + "_prob " + std::to_string(n);
+  std::string alias = "vi64 " + prefix + "_alias " + std::to_string(n);
+  for (int64_t i = 0; i < n; ++i) {
+    prob += " 1";
+    alias += ' ';
+    alias += std::to_string(i);
+  }
+  text.insert(text.find('\n', line) + 1, prob + "\n" + alias + "\n");
+  std::ofstream(path) << text;
+
+  Result<LoadedArtifact> loaded = LoadArtifact(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  Rng gen_a(99), gen_b(99);
+  graphs::TemporalGraph a = fitted->Generate(gen_a);
+  graphs::TemporalGraph b = loaded.value().generator->Generate(gen_b);
+  ExpectGraphsIdentical(a, b, method);
+  std::filesystem::remove(path);
+}
+
+TEST(ArtifactCompatTest, TiggerStoredStartAliasTableIsIgnored) {
+  ExpectStoredAliasTableIsIgnored("TIGGER", FastPreset(), "weight",
+                                  "starts");
+}
+
+TEST(ArtifactCompatTest, DymondStoredActivityAliasTableIsIgnored) {
+  ExpectStoredAliasTableIsIgnored("DYMOND", {}, "node_activity", "activity");
 }
 
 /// Fits a score-matrix method whose fast-preset state is large enough to

@@ -1,16 +1,14 @@
 // Tests for the sampling layer (AliasTable / TreeSampler / WeightedPick):
 // distribution agreement with Rng::WeightedChoice via chi-square, edge
 // cases (single entry, zero-weight tails, denormal totals — mirroring the
-// WeightedChoice drift-guard regression), serialize round trips that draw
+// WeightedChoice drift-guard regression), rebuilds that draw
 // bit-identically, and 1/2/8-thread determinism sweeps over every
 // generation path that now runs on the new samplers.
 
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,7 +20,6 @@
 #include "gtest/gtest.h"
 #include "parallel/thread_pool.h"
 #include "sampling/samplers.h"
-#include "serialize/serialization.h"
 
 namespace tgsim {
 namespace {
@@ -103,37 +100,13 @@ TEST(AliasTableTest, DenormalTotalStaysOnPositiveEntry) {
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(table.Draw(rng), 1u);
 }
 
-TEST(AliasTableTest, FromPartsDrawsBitIdenticalToOriginal) {
-  const std::vector<double> w = {0.25, 4.0, 0.0, 1.5, 2.25, 0.125, 9.0};
-  AliasTable built(w);
-  Result<AliasTable> restored =
-      AliasTable::FromParts(built.prob(), built.alias());
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  Rng rng_a(42), rng_b(42);
-  for (int i = 0; i < 2000; ++i)
-    ASSERT_EQ(built.Draw(rng_a), restored.value().Draw(rng_b)) << "draw " << i;
-}
-
 TEST(AliasTableTest, RebuildFromSameWeightsIsDeterministic) {
   // The build is a pure function of the weights — the guarantee that lets
-  // pre-alias artifacts rebuild bit-identical samplers.
+  // every artifact load rebuild bit-identical samplers from its weights.
   const std::vector<double> w = {1.0, 0.5, 0.0, 8.0, 2.5};
   AliasTable a(w), b(w);
   EXPECT_EQ(a.prob(), b.prob());
   EXPECT_EQ(a.alias(), b.alias());
-}
-
-TEST(AliasTableTest, FromPartsRejectsCorruptSlots) {
-  EXPECT_EQ(AliasTable::FromParts({0.5}, {0, 1}).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(AliasTable::FromParts({1.5}, {0}).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(AliasTable::FromParts({-0.1}, {0}).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(AliasTable::FromParts({0.5, 0.5}, {0, 2}).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(AliasTable::FromParts({0.5}, {-1}).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(AliasTableDeathTest, ZeroTotalMassIsAProgrammingError) {
@@ -243,52 +216,8 @@ TEST(WeightedPickTest, DriftGuardFallsToLastPositiveWeight) {
 }
 
 // ---------------------------------------------------------------------------
-// Serialization: alias parts round-trip to bit-identical draw streams.
-// ---------------------------------------------------------------------------
-
-TEST(SamplingSerializeTest, ArchiveRoundTripDrawsBitIdentically) {
-  Rng init(1234);
-  std::vector<double> w(501);
-  for (double& x : w) x = init.Uniform() < 0.2 ? 0.0 : init.Uniform(0.1, 6.0);
-  AliasTable fitted(w);
-
-  std::stringstream stream;
-  serialize::ArchiveWriter writer(stream);
-  writer.BeginSection("sampler");
-  serialize::WriteAliasTable(writer, "starts", fitted);
-  ASSERT_TRUE(writer.Finish().ok());
-
-  Result<serialize::ArchiveReader> parsed =
-      serialize::ArchiveReader::Parse(stream);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  Result<AliasTable> loaded =
-      serialize::ReadAliasTable(parsed.value(), "sampler", "starts");
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded.value().size(), fitted.size());
-
-  Rng rng_a(5150), rng_b(5150);
-  for (int i = 0; i < 5000; ++i)
-    ASSERT_EQ(fitted.Draw(rng_a), loaded.value().Draw(rng_b)) << "draw " << i;
-}
-
-TEST(SamplingSerializeTest, MissingAliasFieldsAreNotFound) {
-  std::stringstream stream;
-  serialize::ArchiveWriter writer(stream);
-  writer.BeginSection("sampler");
-  writer.WriteInt("unrelated", 1);
-  ASSERT_TRUE(writer.Finish().ok());
-  Result<serialize::ArchiveReader> parsed =
-      serialize::ArchiveReader::Parse(stream);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(serialize::ReadAliasTable(parsed.value(), "sampler", "starts")
-                .status()
-                .code(),
-            StatusCode::kNotFound);
-}
-
-// ---------------------------------------------------------------------------
-// InitialNodeSampler: graph-built, data-rebuilt and table-adopting
-// constructors draw the same stream.
+// InitialNodeSampler: graph-built and data-rebuilt constructors draw the
+// same stream.
 // ---------------------------------------------------------------------------
 
 TEST(SamplingInitialNodeSamplerTest, AllConstructorsDrawIdentically) {
@@ -296,22 +225,12 @@ TEST(SamplingInitialNodeSamplerTest, AllConstructorsDrawIdentically) {
   graphs::InitialNodeSampler from_graph(&g, /*time_window=*/2);
   graphs::InitialNodeSampler from_data(from_graph.occurrences(),
                                        from_graph.weights());
-  Result<AliasTable> parts = AliasTable::FromParts(from_graph.alias().prob(),
-                                                   from_graph.alias().alias());
-  ASSERT_TRUE(parts.ok());
-  graphs::InitialNodeSampler from_table(from_graph.occurrences(),
-                                        from_graph.weights(),
-                                        std::move(parts).value());
-  Rng rng_a(2), rng_b(2), rng_c(2);
+  Rng rng_a(2), rng_b(2);
   std::vector<graphs::TemporalNodeRef> a = from_graph.Sample(3000, rng_a);
   std::vector<graphs::TemporalNodeRef> b = from_data.Sample(3000, rng_b);
-  std::vector<graphs::TemporalNodeRef> c = from_table.Sample(3000, rng_c);
   ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.size(), c.size());
-  for (size_t i = 0; i < a.size(); ++i) {
+  for (size_t i = 0; i < a.size(); ++i)
     ASSERT_TRUE(a[i] == b[i]) << "draw " << i;
-    ASSERT_TRUE(a[i] == c[i]) << "draw " << i;
-  }
 }
 
 // ---------------------------------------------------------------------------

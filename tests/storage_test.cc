@@ -406,7 +406,7 @@ TEST(ScoreStateTest, SmallModelsSaveInlineAndRoundTrip) {
 
   baselines::ObservedShape loaded_shape;
   ScoreStore loaded;
-  Status s = baselines::LoadScoreState(loaded_shape, loaded, out, "", 2);
+  Status s = baselines::LoadScoreState(loaded_shape, loaded, out, "");
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_FALSE(loaded.block_backed());
   EXPECT_EQ(EncodeScoreBlock(loaded.Snapshot(1).view),
@@ -443,7 +443,7 @@ TEST(ScoreStateTest, LargeModelsSaveBlocksAndRoundTripBothWays) {
   baselines::ObservedShape buffered_shape;
   ScoreStore buffered;
   Status s =
-      baselines::LoadScoreState(buffered_shape, buffered, out, "", 0);
+      baselines::LoadScoreState(buffered_shape, buffered, out, "");
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_TRUE(buffered.block_backed());
 
@@ -455,7 +455,7 @@ TEST(ScoreStateTest, LargeModelsSaveBlocksAndRoundTripBothWays) {
   std::ifstream in(path, std::ios::binary);
   baselines::ObservedShape mapped_shape;
   ScoreStore mapped;
-  s = baselines::LoadScoreState(mapped_shape, mapped, in, path, 0);
+  s = baselines::LoadScoreState(mapped_shape, mapped, in, path);
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_TRUE(mapped.block_backed());
 
@@ -495,7 +495,7 @@ TEST(ScoreStateTest, CorruptBlockPayloadsAreStatusErrors) {
     std::stringstream in(std::move(bytes));
     baselines::ObservedShape shape_out;
     ScoreStore store_out;
-    return baselines::LoadScoreState(shape_out, store_out, in, "", 0);
+    return baselines::LoadScoreState(shape_out, store_out, in, "");
   };
   // Truncated block payload.
   Status s = load(good.substr(0, good.size() - 64));
@@ -518,43 +518,6 @@ TEST(ScoreStateTest, CorruptBlockPayloadsAreStatusErrors) {
   s = load(bad);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("version"), std::string::npos) << s.ToString();
-}
-
-TEST(ScoreStateTest, LegacyDenseArchivesLoadAndGenerateIdentically) {
-  // A pre-sparse archive stored dense n x n tensors in a "scores"
-  // section. Loading must transparently compact it and generate exactly
-  // what a store built via FromDense generates.
-  baselines::ObservedShape shape = MakeShape(4, {3, 2});
-  nn::Tensor scores = MakeScores();
-  std::stringstream legacy;
-  {
-    serialize::ArchiveWriter writer(legacy);
-    writer.BeginSection("shape");
-    writer.WriteInt("num_nodes", shape.num_nodes);
-    writer.WriteInt("num_timestamps", shape.num_timestamps);
-    writer.WriteIntVector("edges_per_timestamp", shape.edges_per_timestamp);
-    writer.BeginSection("scores");
-    writer.WriteTensor("t0", scores);
-    writer.WriteTensor("t1", scores);
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  baselines::ObservedShape loaded_shape;
-  ScoreStore loaded;
-  Status s = baselines::LoadScoreState(loaded_shape, loaded, legacy, "", 0);
-  ASSERT_TRUE(s.ok()) << s.ToString();
-
-  ScoreStore direct;
-  direct.Reset(2);
-  direct.Set(0, SparseScoreRows::FromDense(scores, 0));
-  direct.Set(1, SparseScoreRows::FromDense(scores, 0));
-  Rng a(11), b(11);
-  graphs::TemporalGraph from_legacy =
-      baselines::GenerateFromScores(loaded_shape, loaded, a);
-  graphs::TemporalGraph from_direct =
-      baselines::GenerateFromScores(shape, direct, b);
-  ASSERT_EQ(from_legacy.edges().size(), from_direct.edges().size());
-  for (size_t i = 0; i < from_legacy.edges().size(); ++i)
-    EXPECT_TRUE(from_legacy.edges()[i] == from_direct.edges()[i]);
 }
 
 // ---------------------------------------------------------------------------
